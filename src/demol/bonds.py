@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .elements import CovalentRadiiTable
-from .molecule import Molecule, distance
+from .molecule import Molecule, distance, pairwise_distances
 
 DEFAULT_ALPHA = 1.15
 
@@ -73,15 +75,18 @@ def predict_bonds(
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if radii is None:
-        r = [a.element.covalent_radius for a in m.atoms]
+        r = np.array([a.element.covalent_radius for a in m.atoms])
     else:
-        r = [radii.radius(a.element.symbol) for a in m.atoms]
+        r = np.array([radii.radius(a.element.symbol) for a in m.atoms])
 
+    threshold = alpha * (r[:, None] + r[None, :])
+    # The whole-array distances may differ from distance() in the last bits, so
+    # they only select candidates, with a relative slack far above that error;
+    # each candidate is then decided with distance(), as for a single pair.
+    near = pairwise_distances(m.positions, m.positions) <= threshold * (1.0 + 1e-9)
     bonds = []
-    n = m.n_atoms
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            d = distance(m.atoms[i], m.atoms[j])
-            if d <= alpha * (r[i] + r[j]):
-                bonds.append(Bond(i, j, d))
+    for i, j in zip(*(k.tolist() for k in np.nonzero(np.triu(near, 1)))):
+        d = distance(m.atoms[i], m.atoms[j])
+        if d <= threshold[i, j]:
+            bonds.append(Bond(i, j, d))
     return BondSet(tuple(bonds))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -22,12 +23,14 @@ from .encodings import assemble_bundle
 from .errors import (
     CheckpointError,
     DemolError,
+    FileAccessError,
     GeometryError,
     MissingTargetError,
     NonFiniteError,
     ParseError,
     TrainingError,
     UnknownElementError,
+    read_text,
 )
 from .fixtures import benzene_skeleton, chain, star_ch3, water
 from .masks import bond_mask
@@ -71,11 +74,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_molecule(path: str) -> Molecule:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FileNotFoundError(f"cannot read molecule file {path}: {exc}") from None
+    text = read_text(path, "molecule file")
     if path.endswith(".json"):
         mol = parse_molecule_json(text)
     else:
@@ -96,29 +95,33 @@ def load_dataset(directory: str) -> list[Molecule]:
     return [load_molecule(os.path.join(directory, n)) for n in names]
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FileAccessError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit_json(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
 
 def _load_configs(args) -> tuple[ModelConfig, TrainConfig]:
-    model_kv: dict = {}
-    train_kv: dict = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            model_kv, train_kv = parse_config_file(fh.read())
-    # explicit flags outrank the config file
-    if getattr(args, "seed", None) is not None:
-        train_kv["seed"] = args.seed
-    if getattr(args, "alpha", None) is not None:
-        model_kv["bond_alpha"] = args.alpha
-    if getattr(args, "cutoff", None) is not None:
-        model_kv["mask_cutoff"] = args.cutoff
+    text = read_text(args.config, "config file") if getattr(args, "config", None) else ""
     try:
+        model_kv, train_kv = parse_config_file(text)
+        # explicit flags outrank the config file
+        if getattr(args, "seed", None) is not None:
+            train_kv["seed"] = args.seed
+        if getattr(args, "alpha", None) is not None:
+            model_kv["bond_alpha"] = args.alpha
+        if getattr(args, "cutoff", None) is not None:
+            model_kv["mask_cutoff"] = args.cutoff
         return ModelConfig(**model_kv), TrainConfig(**train_kv)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad configuration: {exc}") from None
@@ -177,7 +180,10 @@ def cmd_featurize(args) -> int:
     if args.dataset:
         if not args.out:
             raise UsageError("featurize --dataset needs --out DIRECTORY for per-file output")
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise FileAccessError(f"cannot create {args.out}: {exc.strerror or exc}") from None
         names = sorted(
             n for n in os.listdir(args.dataset) if n.endswith(".xyz") or n.endswith(".json")
         )
@@ -188,8 +194,7 @@ def cmd_featurize(args) -> int:
             mol = load_molecule(os.path.join(args.dataset, name))
             doc = _feature_doc(model, mol, alpha, cutoff)
             out_path = os.path.join(args.out, os.path.splitext(name)[0] + ".features.json")
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            _write_text(out_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
             written.append(out_path)
         sys.stdout.write(json.dumps({"written": written}, indent=2) + "\n")
         return EXIT_OK
@@ -229,6 +234,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0.0 < args.step < math.inf:
+        raise UsageError(f"--step must be a positive finite number, got {args.step}")
     model_cfg, train_cfg = _load_configs(args)
     if args.config is None:
         model_cfg = ModelConfig(

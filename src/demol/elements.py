@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, Mapping
 
-from .errors import ParseError, UnknownElementError
+from .errors import ParseError, UnknownElementError, read_text
 
 # Symbol -> atomic number for the full periodic table.
 ATOMIC_NUMBERS: dict[str, int] = {
@@ -110,8 +110,7 @@ def parse_radii_text(text: str) -> CovalentRadiiTable:
 
 
 def load_radii_file(path: str) -> CovalentRadiiTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_radii_text(fh.read())
+    return parse_radii_text(read_text(path, "radii file"))
 
 
 def default_radii_table() -> CovalentRadiiTable:

@@ -10,18 +10,15 @@ the test suite.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import erf
 
-from .graphs import AtomGraph, BondGraph, BondNode
+from .graphs import UNREACHABLE, AtomGraph, BondGraph, BondNode, spd_matrix
 from .masks import MaskMatrices
-from .molecule import Molecule
-
-UNREACHABLE = -1  # sentinel in integer SPD matrices
+from .molecule import Molecule, pairwise_distances
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -58,6 +55,29 @@ def cross_pair_key(atom_sym: str, bond_type: PairKey) -> PairKey:
 
 def build_pair_index(keys: Sequence[PairKey]) -> dict[PairKey, int]:
     return {key: slot for slot, key in enumerate(sorted(set(keys)))}
+
+
+def pair_slot_matrix(
+    row_keys: Sequence, col_keys: Sequence, pair_key, pair_index: Mapping[PairKey, int]
+) -> np.ndarray:
+    """slots[i, j] = pair_index[pair_key(row_keys[i], col_keys[j])], else len(pair_index).
+
+    The index is read once per pair of distinct kinds, into a small (kinds x kinds) table.
+    """
+    row_kinds, row_ids = _kind_ids(row_keys)
+    col_kinds, col_ids = _kind_ids(col_keys)
+    fallback = len(pair_index)
+    table = np.array(
+        [[pair_index.get(pair_key(a, b), fallback) for b in col_kinds] for a in row_kinds],
+        dtype=np.intp,
+    ).reshape(len(row_kinds), len(col_kinds))
+    return table[row_ids[:, None], col_ids[None, :]]
+
+
+def _kind_ids(keys: Sequence) -> tuple[list, np.ndarray]:
+    """Distinct keys in order of first appearance, and each key's position there."""
+    kind_id = {key: k for k, key in enumerate(dict.fromkeys(keys))}
+    return list(kind_id), np.array([kind_id[key] for key in keys], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -172,34 +192,13 @@ def distance_encoding(
     """|a| x |b| matrix of encoded Euclidean distances."""
     pa = np.asarray(positions_a, dtype=np.float64).reshape(-1, 3)
     pb = np.asarray(positions_b, dtype=np.float64).reshape(-1, 3)
-    diff = pa[:, None, :] - pb[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dist = pairwise_distances(pa, pb)
     return encode_scalars(bank, dist, np.asarray(pair_slots, dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------
-# Shortest path distances
+# Shortest path encodings (hop counts come from graphs.spd_matrix)
 # ---------------------------------------------------------------------------
-
-
-def spd_matrix(g: AtomGraph | BondGraph | np.ndarray) -> np.ndarray:
-    """All-pairs unweighted hop counts via per-source BFS; -1 if unreachable."""
-    adjacency = g if isinstance(g, np.ndarray) else g.adjacency
-    n = adjacency.shape[0]
-    neighbors = [np.flatnonzero(adjacency[i]) for i in range(n)]
-    out = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    for source in range(n):
-        row = out[source]
-        row[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for v in neighbors[u]:
-                if row[v] == UNREACHABLE:
-                    row[v] = du + 1
-                    queue.append(v)
-    return out
 
 
 @dataclass
@@ -246,11 +245,13 @@ def cosine_matrix(bg: BondGraph, nodes: Sequence[BondNode]) -> np.ndarray:
     dirs = np.stack([node.direction for node in nodes])
     raw = dirs @ dirs.T
     out[:] = np.abs(raw)
-    for (p, q), shared in bg.shared_atom.items():
-        sp = 1.0 if nodes[p].atom_i == shared else -1.0
-        sq = 1.0 if nodes[q].atom_i == shared else -1.0
-        cos = sp * sq * raw[p, q]
-        out[p, q] = out[q, p] = cos
+    if bg.shared_atom:
+        p, q = np.array(list(bg.shared_atom), dtype=np.intp).T
+        shared = np.fromiter(bg.shared_atom.values(), dtype=np.intp, count=p.size)
+        atom_i = np.array([node.atom_i for node in nodes], dtype=np.intp)
+        sp = np.where(atom_i[p] == shared, 1.0, -1.0)
+        sq = np.where(atom_i[q] == shared, 1.0, -1.0)
+        out[p, q] = out[q, p] = sp * sq * raw[p, q]
     np.fill_diagonal(out, 1.0)
     return out
 
@@ -306,12 +307,7 @@ class EncodingBundle:
 
 def atom_pair_slot_matrix(m: Molecule, bank: GaussianKernelBank) -> np.ndarray:
     symbols = m.symbols()
-    n = m.n_atoms
-    slots = np.empty((n, n), dtype=np.intp)
-    for i in range(n):
-        for j in range(n):
-            slots[i, j] = bank.slot(atom_pair_key(symbols[i], symbols[j]))
-    return slots
+    return pair_slot_matrix(symbols, symbols, atom_pair_key, bank.pair_index)
 
 
 def bond_types(m: Molecule, nodes: Sequence[BondNode]) -> list[PairKey]:
@@ -320,23 +316,13 @@ def bond_types(m: Molecule, nodes: Sequence[BondNode]) -> list[PairKey]:
 
 
 def bond_pair_slot_matrix(types: Sequence[PairKey], bank: GaussianKernelBank) -> np.ndarray:
-    mb = len(types)
-    slots = np.empty((mb, mb), dtype=np.intp)
-    for p in range(mb):
-        for q in range(mb):
-            slots[p, q] = bank.slot(bond_pair_key(types[p], types[q]))
-    return slots
+    return pair_slot_matrix(types, types, bond_pair_key, bank.pair_index)
 
 
 def cross_pair_slot_matrix(
     m: Molecule, types: Sequence[PairKey], bank: GaussianKernelBank
 ) -> np.ndarray:
-    symbols = m.symbols()
-    slots = np.empty((m.n_atoms, len(types)), dtype=np.intp)
-    for i in range(m.n_atoms):
-        for p in range(len(types)):
-            slots[i, p] = bank.slot(cross_pair_key(symbols[i], types[p]))
-    return slots
+    return pair_slot_matrix(m.symbols(), types, cross_pair_key, bank.pair_index)
 
 
 def assemble_bundle(

@@ -35,3 +35,20 @@ class CheckpointError(DemolError):
 
 class TrainingError(DemolError):
     """Optimization aborted (non-finite loss or gradients)."""
+
+
+class FileAccessError(DemolError):
+    """A file could not be opened, decoded as UTF-8 text, or written."""
+
+
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of ``path``; ``what`` names the file in the error message."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FileAccessError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FileAccessError(
+            f"{what} {path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None

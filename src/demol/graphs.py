@@ -16,6 +16,7 @@ from .errors import GeometryError
 from .molecule import Molecule
 
 MIN_BOND_LENGTH = 1e-6  # Angstrom
+UNREACHABLE = -1  # sentinel in integer hop-count matrices
 
 
 @dataclass(frozen=True)
@@ -80,28 +81,67 @@ def bond_geometry(m: Molecule, b: BondSet) -> tuple[BondNode, ...]:
     return tuple(nodes)
 
 
+def incidence_matrix(n_atoms: int, b: BondSet) -> np.ndarray:
+    """(N, M) bool: entry (a, p) is true when atom a is an endpoint of bond p."""
+    ends = np.array(b.keys(), dtype=np.intp).reshape(-1, 2)
+    incidence = np.zeros((n_atoms, len(ends)), dtype=bool)
+    incidence[ends, np.arange(len(ends))[:, None]] = True
+    return incidence
+
+
 def build_line_graph(g: AtomGraph, b: BondSet) -> BondGraph:
     """Bond nodes in BondSet order; edges between bonds sharing one atom."""
     keys = b.keys()
     for i, j in keys:
         if j >= g.n_atoms or not g.adjacency[i, j]:
             raise ValueError(f"bond {(i, j)} is not an edge of the atom graph")
-    m_bonds = len(keys)
-    adjacency = np.zeros((m_bonds, m_bonds), dtype=bool)
-    shared: dict[tuple[int, int], int] = {}
-    for p in range(m_bonds):
-        sp = set(keys[p])
-        for q in range(p + 1, m_bonds):
-            common = sp.intersection(keys[q])
-            if len(common) == 1:
-                adjacency[p, q] = adjacency[q, p] = True
-                shared[(p, q)] = common.pop()
+    ends = np.array(keys, dtype=np.intp).reshape(-1, 2)
+    incidence = incidence_matrix(g.n_atoms, b)
+    # Row p of I^T I counts the atoms bond p shares with each bond: it is the sum
+    # of the incidence rows of p's two endpoints, so no product is needed.
+    has_i = incidence[ends[:, 0]]
+    adjacency = has_i | incidence[ends[:, 1]]
+    np.fill_diagonal(adjacency, False)
     adjacency.flags.writeable = False
+    p, q = np.nonzero(np.triu(adjacency))
+    common = np.where(has_i[p, q], ends[p, 0], ends[p, 1])
+    shared = dict(zip(zip(p.tolist(), q.tolist()), common.tolist()))
     # geometry is attached by the caller; keep a placeholder-free constructor
-    return BondGraph(m_bonds, (), adjacency, shared)
+    return BondGraph(len(keys), (), adjacency, shared)
 
 
 def build_bond_graph(m: Molecule, g: AtomGraph, b: BondSet) -> BondGraph:
     """Line graph with bond-node geometry attached."""
     bare = build_line_graph(g, b)
     return BondGraph(bare.n_bonds, bond_geometry(m, b), bare.adjacency, bare.shared_atom)
+
+
+def spd_matrix(g: AtomGraph | BondGraph | np.ndarray, max_hops: int | None = None) -> np.ndarray:
+    """All-pairs unweighted hop counts; -1 if unreachable or beyond ``max_hops``.
+
+    A level-synchronous breadth-first search from all sources at once, on flat
+    ``source * n + node`` pair indices and a CSR neighbour table.
+    """
+    adjacency = g if isinstance(g, np.ndarray) else g.adjacency
+    n = adjacency.shape[0]
+    out = np.full((n, n), UNREACHABLE, dtype=np.int64)
+    hops = out.reshape(-1)
+    rows, neighbors = np.nonzero(adjacency)
+    row_start = np.searchsorted(rows, np.arange(n + 1))
+    frontier = np.arange(n) * (n + 1)
+    hops[frontier] = 0
+    depth = 0
+    while frontier.size and depth != max_hops:
+        depth += 1
+        node = frontier % n
+        count = row_start[node + 1] - row_start[node]
+        first = np.repeat(row_start[node] - (np.cumsum(count) - count), count)
+        reached = neighbors[first + np.arange(first.size)] + np.repeat(frontier - node, count)
+        reached = reached[hops[reached] == UNREACHABLE]
+        # A pair reached along several edges is kept once: each copy writes its
+        # own tag (below -1), and only the copy whose tag survived goes on.
+        tag = -2 - np.arange(reached.size)
+        hops[reached] = tag
+        frontier = reached[hops[reached] == tag]
+        hops[frontier] = depth
+    return out

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BondGraph
-from .molecule import Molecule
+from .graphs import UNREACHABLE, BondGraph, spd_matrix
+from .molecule import Molecule, pairwise_distances
 
 DEFAULT_CUTOFF = 5.0  # Angstrom
 
@@ -31,27 +31,24 @@ class MaskMatrices:
                 raise ValueError(f"{name} mask must be symmetric with a true diagonal")
 
 
-def atom_mask(m: Molecule, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
+def atom_mask(m: Molecule | np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
+    """Pairs closer than ``cutoff``, from a molecule or its (N, N) distance matrix."""
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
-    pos = m.positions
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dist = m if isinstance(m, np.ndarray) else pairwise_distances(m.positions, m.positions)
     allowed = dist < cutoff
     np.fill_diagonal(allowed, True)
     return allowed
 
 
 def bond_mask(bg: BondGraph) -> np.ndarray:
-    m = bg.n_bonds
-    if m == 0:
-        return np.zeros((0, 0), dtype=bool)
-    adj = bg.adjacency.astype(np.int64)
-    within_two = (np.eye(m, dtype=np.int64) + adj + adj @ adj) > 0
-    return within_two
+    """Bond pairs at line-graph distance 0, 1 or 2."""
+    return spd_matrix(bg, max_hops=2) != UNREACHABLE
 
 
-def build_masks(m: Molecule, bg: BondGraph, cutoff: float = DEFAULT_CUTOFF) -> MaskMatrices:
+def build_masks(
+    m: Molecule | np.ndarray, bg: BondGraph, cutoff: float = DEFAULT_CUTOFF
+) -> MaskMatrices:
     return MaskMatrices(atom_mask(m, cutoff), bond_mask(bg))
 
 

@@ -26,8 +26,10 @@ from .encodings import (
     atom_pair_key,
     bond_pair_key,
     bond_type_key,
+    bond_types,
     build_pair_index,
     cross_pair_key,
+    pair_slot_matrix,
 )
 from .errors import MissingTargetError, ShapeError
 from .masks import DEFAULT_CUTOFF
@@ -363,10 +365,7 @@ class Model:
         symbols = m.symbols()
         n, mb = feats.n_atoms, feats.n_bonds
 
-        types = [
-            bond_type_key(symbols[node.atom_i], symbols[node.atom_j])
-            for node in feats.bond_nodes
-        ]
+        types = bond_types(m, feats.bond_nodes)
         type_ids = np.array(
             [self.bond_type_vocab.get(t, self.bond_type_fallback) for t in types], dtype=np.intp
         )
@@ -377,33 +376,12 @@ class Model:
             self.config.n_length_buckets - 1,
         ) if mb else np.zeros(0, dtype=np.intp)
 
-        fallback_a = len(self.pair_index_atom)
-        slot_atom = np.empty((n, n), dtype=np.intp)
-        for i in range(n):
-            for j in range(n):
-                slot_atom[i, j] = self.pair_index_atom.get(
-                    atom_pair_key(symbols[i], symbols[j]), fallback_a
-                )
-
-        fallback_b = len(self.pair_index_bond)
-        slot_bond = np.empty((mb, mb), dtype=np.intp)
-        for p in range(mb):
-            for q in range(mb):
-                slot_bond[p, q] = self.pair_index_bond.get(
-                    bond_pair_key(types[p], types[q]), fallback_b
-                )
-
-        fallback_c = len(self.pair_index_cross)
+        slot_atom = pair_slot_matrix(symbols, symbols, atom_pair_key, self.pair_index_atom)
+        slot_bond = pair_slot_matrix(types, types, bond_pair_key, self.pair_index_bond)
         cross_rows, cross_cols = np.where(feats.incidence)
-        cross_slots = np.array(
-            [
-                self.pair_index_cross.get(
-                    cross_pair_key(symbols[i], types[p]), fallback_c
-                )
-                for i, p in zip(cross_rows, cross_cols)
-            ],
-            dtype=np.intp,
-        )
+        cross_slots = pair_slot_matrix(symbols, types, cross_pair_key, self.pair_index_cross)[
+            cross_rows, cross_cols
+        ]
 
         spd_enc = SpdEncoder(
             self.config.max_spd, np.zeros(self.config.max_spd + 2)

@@ -85,6 +85,12 @@ def distance(a: Atom, b: Atom) -> float:
     return float(np.linalg.norm(a.position - b.position))
 
 
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a| x |b| matrix of Euclidean distances between two (., 3) position arrays."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
 def molecule_from_symbols(
     symbols: Sequence[str],
     positions: Sequence[Sequence[float]] | np.ndarray,

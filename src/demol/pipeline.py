@@ -14,9 +14,16 @@ import numpy as np
 
 from .bonds import BondSet, predict_bonds
 from .encodings import cosine_matrix, spd_matrix
-from .graphs import AtomGraph, BondGraph, BondNode, build_atom_graph, build_bond_graph
+from .graphs import (
+    AtomGraph,
+    BondGraph,
+    BondNode,
+    build_atom_graph,
+    build_bond_graph,
+    incidence_matrix,
+)
 from .masks import DEFAULT_CUTOFF, MaskMatrices, all_true_masks, build_masks
-from .molecule import Molecule
+from .molecule import Molecule, pairwise_distances
 
 
 @dataclass(frozen=True)
@@ -45,11 +52,6 @@ class Featurization:
         return len(self.bonds)
 
 
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
 def featurize_molecule(
     m: Molecule,
     *,
@@ -60,6 +62,7 @@ def featurize_molecule(
 ) -> Featurization:
     if bonds is None:
         bonds = predict_bonds(m, alpha)
+    dist_atom = pairwise_distances(m.positions, m.positions)
     g = build_atom_graph(m, bonds)
     bg = build_bond_graph(m, g, bonds)
     nodes = bg.bond_nodes
@@ -67,12 +70,9 @@ def featurize_molecule(
         np.stack([n.midpoint for n in nodes]) if nodes else np.zeros((0, 3), dtype=np.float64)
     )
 
-    masks = build_masks(m, bg, cutoff) if use_masks else all_true_masks(m.n_atoms, len(bonds))
-
-    incidence = np.zeros((m.n_atoms, len(bonds)), dtype=bool)
-    for p, bond in enumerate(bonds):
-        incidence[bond.i, p] = True
-        incidence[bond.j, p] = True
+    masks = (
+        build_masks(dist_atom, bg, cutoff) if use_masks else all_true_masks(m.n_atoms, len(bonds))
+    )
 
     return Featurization(
         molecule=m,
@@ -81,12 +81,12 @@ def featurize_molecule(
         bond_graph=bg,
         bond_nodes=nodes,
         midpoints=midpoints,
-        dist_atom=_pairwise_distances(m.positions, m.positions),
-        dist_bond=_pairwise_distances(midpoints, midpoints),
-        dist_cross=_pairwise_distances(m.positions, midpoints),
+        dist_atom=dist_atom,
+        dist_bond=pairwise_distances(midpoints, midpoints),
+        dist_cross=pairwise_distances(m.positions, midpoints),
         cos_bond=cosine_matrix(bg, nodes),
         spd_atom=spd_matrix(g),
         spd_bond=spd_matrix(bg),
         masks=masks,
-        incidence=incidence,
+        incidence=incidence_matrix(m.n_atoms, bonds),
     )

@@ -252,3 +252,39 @@ class TestContracts:
         bad.write_text("1\n\nXx 0 0 0\n")
         code, out, err = run(capsys, ["bonds", str(bad)])
         assert code == 2 and "Xx" in err
+
+
+class TestInputBoundaries:
+    @pytest.mark.parametrize("line", ["steps = abc", "betas = 0.9", "[train]"])
+    def test_bad_config_line_is_usage_error(self, capsys, dataset_dir, tmp_path, line):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        code, out, err = run(capsys, ["train", "--dataset", dataset_dir, "--config", str(config)])
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: bad configuration") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("step", ["0", "-1", "nan"])
+    def test_gradcheck_bad_step_is_usage_error(self, capsys, step):
+        code, out, err = run(capsys, ["gradcheck", f"--step={step}"])
+        assert code == 1 and out == "" and "--step" in err
+
+    def test_non_utf8_molecule_file_is_data_error(self, capsys, tmp_path):
+        bad = tmp_path / "water.xyz"
+        bad.write_bytes(WATER_XYZ.replace("water", "w\xe4ter").encode("latin-1"))
+        code, out, err = run(capsys, ["bonds", str(bad)])
+        assert code == 2 and out == ""
+        assert "water.xyz is not UTF-8" in err and err.count("\n") == 1
+
+    def test_non_utf8_radii_file_is_data_error(self, capsys, water_file, tmp_path, monkeypatch):
+        radii = tmp_path / "radii.dat"
+        radii.write_bytes(b"# r\xe4dii\nO 0.66\nH 0.31\n")
+        monkeypatch.setenv("DEMOL_RADII", str(radii))
+        code, out, err = run(capsys, ["bonds", water_file])
+        assert code == 2 and out == ""
+        assert "radii.dat is not UTF-8" in err and err.count("\n") == 1
+
+    def test_out_below_a_file_is_data_error(self, capsys, water_file):
+        out_path = os.path.join(water_file, "x.json")
+        code, out, err = run(capsys, ["predict", water_file, "--out", out_path])
+        assert code == 2 and out == ""
+        assert f"cannot write {out_path}" in err and err.count("\n") == 1
