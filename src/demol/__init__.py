@@ -40,6 +40,7 @@ from .encodings import (
 from .errors import (
     CheckpointError,
     DemolError,
+    FileAccessError,
     GeometryError,
     MissingTargetError,
     NonFiniteError,

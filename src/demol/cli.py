@@ -84,7 +84,8 @@ def load_molecule(path: str) -> Molecule:
     return mol
 
 
-def load_dataset(directory: str) -> list[Molecule]:
+def _dataset_files(directory: str) -> list[str]:
+    """Sorted names of the .xyz and .json files in a dataset directory."""
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"dataset directory {directory} does not exist")
     names = sorted(
@@ -92,7 +93,11 @@ def load_dataset(directory: str) -> list[Molecule]:
     )
     if not names:
         raise ParseError(f"dataset directory {directory} has no .xyz or .json files")
-    return [load_molecule(os.path.join(directory, n)) for n in names]
+    return names
+
+
+def load_dataset(directory: str) -> list[Molecule]:
+    return [load_molecule(os.path.join(directory, n)) for n in _dataset_files(directory)]
 
 
 def _write_text(path: str, text: str) -> None:
@@ -115,13 +120,16 @@ def _load_configs(args) -> tuple[ModelConfig, TrainConfig]:
     text = read_text(args.config, "config file") if getattr(args, "config", None) else ""
     try:
         model_kv, train_kv = parse_config_file(text)
-        # explicit flags outrank the config file
-        if getattr(args, "seed", None) is not None:
-            train_kv["seed"] = args.seed
-        if getattr(args, "alpha", None) is not None:
-            model_kv["bond_alpha"] = args.alpha
-        if getattr(args, "cutoff", None) is not None:
-            model_kv["mask_cutoff"] = args.cutoff
+    except ValueError as exc:
+        raise UsageError(f"bad configuration: {exc}") from None
+    # explicit flags outrank the config file
+    if getattr(args, "seed", None) is not None:
+        train_kv["seed"] = args.seed
+    if getattr(args, "alpha", None) is not None:
+        model_kv["bond_alpha"] = args.alpha
+    if getattr(args, "cutoff", None) is not None:
+        model_kv["mask_cutoff"] = args.cutoff
+    try:
         return ModelConfig(**model_kv), TrainConfig(**train_kv)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad configuration: {exc}") from None
@@ -180,15 +188,11 @@ def cmd_featurize(args) -> int:
     if args.dataset:
         if not args.out:
             raise UsageError("featurize --dataset needs --out DIRECTORY for per-file output")
+        names = _dataset_files(args.dataset)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise FileAccessError(f"cannot create {args.out}: {exc.strerror or exc}") from None
-        names = sorted(
-            n for n in os.listdir(args.dataset) if n.endswith(".xyz") or n.endswith(".json")
-        )
-        if not names:
-            raise ParseError(f"dataset directory {args.dataset} has no .xyz or .json files")
         written = []
         for name in names:
             mol = load_molecule(os.path.join(args.dataset, name))

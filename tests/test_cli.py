@@ -288,3 +288,12 @@ class TestInputBoundaries:
         code, out, err = run(capsys, ["predict", water_file, "--out", out_path])
         assert code == 2 and out == ""
         assert f"cannot write {out_path}" in err and err.count("\n") == 1
+
+    def test_featurize_dataset_that_is_a_file_is_data_error(self, capsys, water_file, tmp_path):
+        argv = ["featurize", "--dataset", water_file, "--out", str(tmp_path / "out")]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and water_file in err and err.count("\n") == 1
+
+    def test_featurize_out_that_is_a_file_is_data_error(self, capsys, dataset_dir, water_file):
+        code, out, err = run(capsys, ["featurize", "--dataset", dataset_dir, "--out", water_file])
+        assert code == 2 and out == "" and water_file in err and err.count("\n") == 1
