@@ -46,6 +46,7 @@ from .errors import (
     NonFiniteError,
     ParseError,
     ShapeError,
+    SizeLimitError,
     TrainingError,
     UnknownElementError,
 )

@@ -4,7 +4,8 @@ Every tensor is a 2-D float64 matrix; scalars are (1, 1). A ``Tape`` records
 operations in execution order, which is already topological, so the backward
 pass visits each node exactly once in reverse. Tensors built without a tape
 compute values only (inference mode). Any operation that produces NaN or Inf
-raises ``NonFiniteError``.
+raises ``NonFiniteError``. Attention runs on an ``EdgeList`` of the allowed
+(query, key) pairs, for all heads in one op, so masked pairs cost nothing.
 """
 
 from __future__ import annotations
@@ -44,14 +45,20 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
 
 
 class Tape:
-    """Execution-ordered record of operations for one forward pass."""
+    """Execution-ordered record of operations for one forward pass.
 
-    __slots__ = ("_parents", "_backward", "_param_views")
+    Nothing the tape holds refers back to it: backward closures keep arrays,
+    and parameter leaves are kept as node ids, so a tape is freed as soon as
+    its last ``Tensor`` is, without the cyclic collector.
+    """
+
+    __slots__ = ("_parents", "_backward", "_param_leaves", "__weakref__")
 
     def __init__(self):
         self._parents: list[tuple[int, ...]] = []
         self._backward: list[Callable[[np.ndarray], Sequence[np.ndarray | None]] | None] = []
-        self._param_views: dict[int, "TapeParams"] = {}
+        # id(registry) -> (registry, parameter name -> leaf node id)
+        self._param_leaves: dict[int, tuple["ModelParams", dict[str, int]]] = {}
 
     def __len__(self) -> int:
         return len(self._parents)
@@ -101,10 +108,6 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         return scale(self, -1.0)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
 
 def constant(value, tape: Tape | None = None) -> Tensor:
@@ -198,19 +201,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
 
 
-def transpose(a: Tensor) -> Tensor:
-    return _emit("transpose", a.value.T.copy(), (a,), lambda g: (g.T,))
-
-
-def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
-    if a.value.size != rows * cols:
-        raise ShapeError(f"reshape: cannot view {a.value.shape} as ({rows}, {cols})")
-    old = a.value.shape
-    return _emit(
-        "reshape", a.value.reshape(rows, cols).copy(), (a,), lambda g: (g.reshape(old),)
-    )
-
-
 def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
     if not tensors:
         raise ShapeError("concat_rows needs at least one tensor")
@@ -296,27 +286,6 @@ def gather_rows(a: Tensor, ids) -> Tensor:
     return _emit("gather_rows", a.value[ids].copy(), (a,), backward)
 
 
-def scatter_pairs(
-    values: Tensor, value_idx: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape
-) -> Tensor:
-    """Build a dense matrix by adding values[value_idx[e]] at (rows[e], cols[e])."""
-    value_idx = np.asarray(value_idx, dtype=np.intp)
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    if values.value.shape[1] != 1:
-        raise ShapeError("scatter_pairs: values must be a column vector")
-    out = np.zeros(shape)
-    np.add.at(out, (rows, cols), values.value[value_idx, 0])
-    vshape = values.value.shape
-
-    def backward(g):
-        gv = np.zeros(vshape)
-        np.add.at(gv[:, 0], value_idx, g[rows, cols])
-        return (gv,)
-
-    return _emit("scatter_pairs", out, (values,), backward)
-
-
 # ---------------------------------------------------------------------------
 # Nonlinearities
 # ---------------------------------------------------------------------------
@@ -348,34 +317,130 @@ def row_normalize(a: Tensor, eps: float = 1e-5) -> Tensor:
     return _emit("row_normalize", y, (a,), backward)
 
 
-def softmax_bias_mask(logits: Tensor, bias: Tensor, mask: np.ndarray) -> Tensor:
-    """Per-row masked softmax over logits + bias.
+class _Segments:
+    """Runs of equal keys in a key-sorted edge array, for ``reduceat``."""
 
-    Masked entries get exactly zero weight and never enter the normalization;
-    rows with no unmasked entries return all zeros.
+    __slots__ = ("ids", "starts", "counts", "n")
+
+    def __init__(self, sorted_keys: np.ndarray, n: int):
+        counts = np.bincount(sorted_keys, minlength=n)
+        self.ids = np.flatnonzero(counts)  # keys that have edges
+        self.counts = counts[self.ids]
+        self.starts = np.cumsum(self.counts) - self.counts
+        self.n = n
+
+    def reduce(self, ufunc, x: np.ndarray) -> np.ndarray:
+        """One reduction per key that has edges, spread back over its edges."""
+        return np.repeat(ufunc.reduceat(x, self.starts, axis=0), self.counts, axis=0)
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        """(E, ...) per edge -> (n, ...) per key; keys without edges get zeros."""
+        out = np.zeros((self.n,) + x.shape[1:])
+        if self.ids.size:
+            out[self.ids] = np.add.reduceat(x, self.starts, axis=0)
+        return out
+
+
+class EdgeList:
+    """The (query row, key column) pairs one attention kind may use, sorted by row.
+
+    Reductions over a row's edges are ``reduceat`` over the row starts; those
+    over a column's edges run on the column-sorted permutation ``col_order``.
     """
-    _need_same_shape("softmax_bias_mask", logits, bias)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != logits.value.shape:
-        raise ShapeError(
-            f"softmax_bias_mask: mask shape {mask.shape} != logits {logits.value.shape}"
-        )
-    z = np.where(mask, logits.value + bias.value, -np.inf)
-    if z.size:
-        rowmax = z.max(axis=1, keepdims=True)
-        rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
-        e = np.where(mask, np.exp(z - rowmax), 0.0)
-        s = e.sum(axis=1, keepdims=True)
-        w = e / np.where(s > 0.0, s, 1.0)  # all-masked rows stay exactly zero
-    else:
-        w = np.zeros_like(z)
+
+    __slots__ = ("rows", "cols", "n_rows", "n_cols", "by_row", "col_order", "by_col")
+
+    def __init__(self, rows, cols, n_rows: int, n_cols: int):
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        cols = np.asarray(cols, dtype=np.intp).reshape(-1)
+        if rows.shape != cols.shape:
+            raise ShapeError(f"EdgeList: {rows.size} rows for {cols.size} columns")
+        if rows.size and (
+            rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols
+        ):
+            raise ShapeError(f"EdgeList: edge out of range for a ({n_rows}, {n_cols}) pattern")
+        if (np.diff(rows) < 0).any():
+            raise ShapeError("EdgeList: edges must be sorted by row")
+        self.rows, self.cols = rows, cols
+        self.n_rows, self.n_cols = int(n_rows), int(n_cols)
+        self.by_row = _Segments(rows, self.n_rows)
+        self.col_order = np.argsort(cols, kind="stable")
+        self.by_col = _Segments(cols[self.col_order], self.n_cols)
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> "EdgeList":
+        rows, cols = np.nonzero(mask)
+        return cls(rows, cols, *mask.shape)
+
+    def __len__(self) -> int:
+        return self.rows.size
+
+    def dense(self, values: np.ndarray) -> np.ndarray:
+        """(E,) per-edge values as an (n_rows, n_cols) matrix, zero off the edges."""
+        out = np.zeros((self.n_rows, self.n_cols))
+        out[self.rows, self.cols] = values
+        return out
+
+
+def _head_blocks(t: Tensor, rows: int, heads: int, op: str) -> np.ndarray:
+    """An (rows, heads * d) operand viewed as (rows, heads, d)."""
+    r, width = t.value.shape
+    if r != rows or width % heads:
+        raise ShapeError(f"{op}: operand {t.value.shape} is not ({rows}, {heads} * d)")
+    return t.value.reshape(rows, heads, width // heads)
+
+
+def softmax_bias_mask(q: Tensor, k: Tensor, bias: Tensor, edges: EdgeList, heads: int) -> Tensor:
+    """Attention weights of all heads on every edge: (R, H*d), (C, H*d), (E, 1) -> (E, H).
+
+    z[e, h] = q[row_e, h] . k[col_e, h] / sqrt(d) + bias[e], and each head's
+    weights are a softmax of z over the edges of one query row. A pair with no
+    edge never enters a normalization; a row with no edges has no weights.
+    """
+    qv = _head_blocks(q, edges.n_rows, heads, "softmax_bias_mask")
+    kv = _head_blocks(k, edges.n_cols, heads, "softmax_bias_mask")
+    if bias.value.shape != (len(edges), 1):
+        raise ShapeError(f"softmax_bias_mask: bias {bias.value.shape} for {len(edges)} edges")
+    q_shape, k_shape = q.value.shape, k.value.shape  # the closure keeps no Tensor
+    rows, cols, by_row = edges.rows, edges.cols, edges.by_row
+    inv_sqrt_d = 1.0 / math.sqrt(qv.shape[2])
+    z = np.einsum("ehd,ehd->eh", qv[rows], kv[cols]) * inv_sqrt_d + bias.value
+    w = np.exp(z - by_row.reduce(np.maximum, z))
+    w /= by_row.reduce(np.add, w)
 
     def backward(g):
-        inner = (g * w).sum(axis=1, keepdims=True)
-        dz = w * (g - inner)
-        return (dz, dz)
+        dz = w * (g - by_row.reduce(np.add, g * w))
+        ds = (dz * inv_sqrt_d)[:, :, None]
+        order = edges.col_order
+        dq = by_row.sum(ds * kv[cols])
+        dk = edges.by_col.sum(ds[order] * qv[rows[order]])
+        return dq.reshape(q_shape), dk.reshape(k_shape), dz.sum(axis=1, keepdims=True)
 
-    return _emit("softmax_bias_mask", w, (logits, bias), backward)
+    return _emit("softmax_bias_mask", w, (q, k, bias), backward)
+
+
+def scatter_pairs(weights: Tensor, v: Tensor, edges: EdgeList) -> Tensor:
+    """Weighted sums of values into the query rows: (E, H), (C, H*d) -> (R, H*d).
+
+    out[i, h] is the sum over the edges e of row i of weights[e, h] * v[col_e, h].
+    """
+    heads = weights.value.shape[1]
+    if weights.value.shape[0] != len(edges):
+        raise ShapeError(f"scatter_pairs: {weights.value.shape[0]} weights for {len(edges)} edges")
+    vv = _head_blocks(v, edges.n_cols, heads, "scatter_pairs")
+    wv = weights.value
+    rows, cols = edges.rows, edges.cols
+    v_shape = v.value.shape
+    out = edges.by_row.sum(wv[:, :, None] * vv[cols]).reshape(edges.n_rows, v_shape[1])
+
+    def backward(g):
+        gv = g.reshape(edges.n_rows, heads, -1)
+        order = edges.col_order
+        dw = np.einsum("ehd,ehd->eh", gv[rows], vv[cols])
+        dv = edges.by_col.sum(wv[order, :, None] * gv[rows[order]])
+        return dw, dv.reshape(v_shape)
+
+    return _emit("scatter_pairs", out, (weights, v), backward)
 
 
 def gaussian_kernel_features(
@@ -548,41 +613,39 @@ class ModelParams:
 
 
 class TapeParams:
-    """Lazily wraps registry arrays as tape leaves; one leaf per used array.
+    """Registry arrays as tape leaves; one leaf per used array and tape.
 
-    Use ``TapeParams.for_tape`` so that every computation on one tape shares
-    the same leaf per parameter; gradients then accumulate on a single node.
+    Every view of one registry on one tape shares the tape's leaf ids, so
+    gradients accumulate on a single node per parameter. A view holds the
+    tape, never the reverse.
     """
 
     def __init__(self, params: ModelParams, tape: Tape | None):
         self.params = params
         self.tape = tape
-        self._leaves: dict[str, Tensor] = {}
+        self._leaf_ids: dict[str, int] = (
+            {} if tape is None else tape._param_leaves.setdefault(id(params), (params, {}))[1]
+        )
 
     @classmethod
     def for_tape(cls, params: ModelParams, tape: Tape | None) -> "TapeParams":
-        if tape is None:
-            return cls(params, None)
-        view = tape._param_views.get(id(params))
-        if view is None:
-            view = cls(params, tape)
-            tape._param_views[id(params)] = view
-        return view
+        return cls(params, tape)
 
     def __getitem__(self, name: str) -> Tensor:
-        leaf = self._leaves.get(name)
-        if leaf is None:
-            arr = self.params[name]
-            leaf = self.tape.leaf(arr) if self.tape is not None else Tensor(arr, None, -1)
-            self._leaves[name] = leaf
-        return leaf
+        arr = self.params[name]
+        if self.tape is None:
+            return Tensor(arr, None, -1)
+        node_id = self._leaf_ids.get(name)
+        if node_id is None:
+            node_id = self._leaf_ids[name] = self.tape.leaf(arr).node_id
+        return Tensor(arr, self.tape, node_id)
 
     def flat_gradients(self, grads: Gradients) -> np.ndarray:
         """Gradient vector aligned with the registry flat view; unused -> 0."""
         out = np.zeros(self.params.size)
         slices = self.params.slices()
-        for name, leaf in self._leaves.items():
-            g = grads.wrt(leaf)
+        for name, node_id in self._leaf_ids.items():
+            g = grads._grads.get(node_id)
             if g is not None:
                 out[slices[name]] = g.ravel()
         return out

@@ -66,11 +66,14 @@ def predict_bonds(
     m: Molecule,
     alpha: float = DEFAULT_ALPHA,
     radii: CovalentRadiiTable | None = None,
+    dist: np.ndarray | None = None,
 ) -> BondSet:
     """All pairs i < j with distance(i, j) <= alpha * (r_i + r_j).
 
     Radii come from each atom's element entry; pass ``radii`` to force fresh
     table lookups instead (raises ``UnknownElementError`` for missing symbols).
+    ``dist`` is the molecule's ``pairwise_distances`` matrix, when the caller
+    already has it.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -83,7 +86,9 @@ def predict_bonds(
     # The whole-array distances may differ from distance() in the last bits, so
     # they only select candidates, with a relative slack far above that error;
     # each candidate is then decided with distance(), as for a single pair.
-    near = pairwise_distances(m.positions, m.positions) <= threshold * (1.0 + 1e-9)
+    if dist is None:
+        dist = pairwise_distances(m.positions, m.positions)
+    near = dist <= threshold * (1.0 + 1e-9)
     bonds = []
     for i, j in zip(*(k.tolist() for k in np.nonzero(np.triu(near, 1)))):
         d = distance(m.atoms[i], m.atoms[j])

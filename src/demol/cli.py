@@ -40,6 +40,7 @@ from .pipeline import featurize_molecule
 from .rng import RandomStream
 from .training import (
     TrainConfig,
+    check_checkpoint_path,
     evaluate,
     load_checkpoint,
     parse_config_file,
@@ -219,6 +220,8 @@ def cmd_predict(args) -> int:
 def cmd_train(args) -> int:
     model_cfg, train_cfg = _load_configs(args)
     dataset = load_dataset(args.dataset)
+    if args.ckpt:
+        check_checkpoint_path(args.ckpt)  # fail before training, not after
     result = train(
         dataset, model_cfg, train_cfg, resume=args.resume, log=lambda s: print(s, file=sys.stderr)
     )

@@ -52,3 +52,7 @@ def read_text(path: str, what: str) -> str:
         raise FileAccessError(
             f"{what} {path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
         ) from None
+
+
+class SizeLimitError(DemolError):
+    """An input exceeds an explicit size limit of a dense code path."""

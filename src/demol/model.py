@@ -2,7 +2,9 @@
 
 Both channels run biased, masked self-attention; interleaved cross-attention
 lets atoms attend over their incident bonds and bonds over their two endpoint
-atoms. Residual placement is ``h_next = FFN(h + attention_out)`` with no
+atoms. Every attention kind is one op over an edge list of the pairs its mask
+allows, with all heads at once; a masked pair has no edge and costs nothing.
+Residual placement is ``h_next = FFN(h + attention_out)`` with no
 normalization layers by default. All encoding parameters (kernel banks, SPD
 tables) are evaluated on the differentiation tape so every learnable value
 receives a gradient.
@@ -10,13 +12,12 @@ receives a gradient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ModelParams, Tape, TapeParams, Tensor
+from .autodiff import EdgeList, ModelParams, Tape, TapeParams, Tensor
 from .bonds import BondSet
 from .elements import ATOMIC_NUMBERS
 from .encodings import (
@@ -31,7 +32,7 @@ from .encodings import (
     cross_pair_key,
     pair_slot_matrix,
 )
-from .errors import MissingTargetError, ShapeError
+from .errors import MissingTargetError, ShapeError, SizeLimitError
 from .masks import DEFAULT_CUTOFF
 from .molecule import Molecule
 from .pipeline import Featurization, featurize_molecule
@@ -40,6 +41,10 @@ from .rng import RandomStream
 DEFAULT_ELEMENTS = ("H", "C", "N", "O", "F", "P", "S", "Cl", "Br", "I", "Pt")
 
 ATTENTION_KINDS = ("atom_self", "bond_self", "atom_from_bond", "bond_from_atom")
+
+# dump-attention writes n_layers * n_heads * 4 dense maps, about 48 N^2 floats
+# of JSON under ModelConfig() (7.5 MB at N = 100); larger molecules are refused.
+MAX_DUMP_ATTENTION_ATOMS = 200
 
 
 @dataclass(frozen=True)
@@ -139,14 +144,19 @@ class ForwardResult:
 
 @dataclass
 class PairChannel:
-    """Sparse pair inputs plus the scatter pattern into a dense bias matrix."""
+    """Scalar inputs of the distinct pairs that one bias encodes."""
 
     x: np.ndarray  # (P,) scalar inputs (distances or cosines)
     slots: np.ndarray  # (P,) category-pair slots
-    value_idx: np.ndarray  # (E,)
-    rows: np.ndarray  # (E,)
-    cols: np.ndarray  # (E,)
-    shape: tuple[int, int]
+
+
+@dataclass
+class AttentionEdges:
+    """The edge list of one attention kind and where each edge reads its bias."""
+
+    edges: EdgeList
+    value_idx: np.ndarray  # (E,) row of the kind's pair values
+    spd_slots: np.ndarray | None = None  # (E,) SPD table slot, self-attention only
 
 
 @dataclass
@@ -159,12 +169,9 @@ class Prepared:
     bucket_ids: np.ndarray  # (M,)
     atom_dist: PairChannel
     bond_dist: PairChannel
-    bond_tors: PairChannel
-    cross_dist: PairChannel  # scatter shape (N, M); (M, N) mirrored separately
-    cross_rows: np.ndarray  # atom index per incidence entry
-    cross_cols: np.ndarray  # bond index per incidence entry
-    spd_atom_slots: np.ndarray  # (N*N,)
-    spd_bond_slots: np.ndarray  # (M*M,)
+    bond_tors: PairChannel  # same pairs as bond_dist
+    cross_dist: PairChannel  # one pair per incidence entry
+    attention: dict[str, AttentionEdges]  # keyed by ATTENTION_KINDS
 
     @property
     def n_atoms(self) -> int:
@@ -185,24 +192,21 @@ class LossInputs:
     noisy_positions: np.ndarray | None  # (N, 3)
 
 
-def _symmetric_pair_channel(
-    x_matrix: np.ndarray, slot_matrix: np.ndarray, allowed: np.ndarray
-) -> PairChannel:
-    """Unique unordered pairs (i <= j) of the allowed set, mirrored on scatter."""
-    iu, ju = np.where(np.triu(allowed))
-    p = np.arange(iu.size)
-    off = iu != ju
-    value_idx = np.concatenate([p, p[off]])
-    rows = np.concatenate([iu, ju[off]])
-    cols = np.concatenate([ju, iu[off]])
-    return PairChannel(
-        x=x_matrix[iu, ju],
-        slots=slot_matrix[iu, ju],
-        value_idx=value_idx,
-        rows=rows,
-        cols=cols,
-        shape=allowed.shape,
+def _self_edges(
+    allowed: np.ndarray, spd: np.ndarray, spd_enc: SpdEncoder
+) -> tuple[AttentionEdges, np.ndarray, np.ndarray]:
+    """Edges of a symmetric mask, each reading the value of its unordered pair.
+
+    Also returns the (i <= j) pairs, in row-major order, that hold the values.
+    """
+    edges = EdgeList.from_mask(allowed)
+    rows, cols, n = edges.rows, edges.cols, edges.n_rows
+    upper = rows <= cols
+    value_idx = np.searchsorted(
+        (rows * n + cols)[upper], np.minimum(rows, cols) * n + np.maximum(rows, cols)
     )
+    att = AttentionEdges(edges, value_idx, spd_enc.slot_ids(spd[rows, cols]))
+    return att, rows[upper], cols[upper]
 
 
 class Model:
@@ -376,81 +380,74 @@ class Model:
             self.config.n_length_buckets - 1,
         ) if mb else np.zeros(0, dtype=np.intp)
 
-        slot_atom = pair_slot_matrix(symbols, symbols, atom_pair_key, self.pair_index_atom)
-        slot_bond = pair_slot_matrix(types, types, bond_pair_key, self.pair_index_bond)
-        cross_rows, cross_cols = np.where(feats.incidence)
-        cross_slots = pair_slot_matrix(symbols, types, cross_pair_key, self.pair_index_cross)[
-            cross_rows, cross_cols
-        ]
-
         spd_enc = SpdEncoder(
             self.config.max_spd, np.zeros(self.config.max_spd + 2)
         )  # slot layout only
+        atom_att, ai, aj = _self_edges(feats.masks.atom, feats.spd_atom, spd_enc)
+        bond_att, bi, bj = _self_edges(feats.masks.bond, feats.spd_bond, spd_enc)
+        slot_atom = pair_slot_matrix(symbols, symbols, atom_pair_key, self.pair_index_atom)
+        slot_bond = pair_slot_matrix(types, types, bond_pair_key, self.pair_index_bond)
+
+        # incidence entries sorted by atom give atom_from_bond; by bond, bond_from_atom
+        cross_rows, cross_cols = np.nonzero(feats.incidence)
+        cross_slots = pair_slot_matrix(symbols, types, cross_pair_key, self.pair_index_cross)
+        by_bond = np.lexsort((cross_rows, cross_cols))
 
         return Prepared(
             feats=feats,
             feature_ids=ids,
             bond_type_ids=type_ids,
             bucket_ids=buckets,
-            atom_dist=_symmetric_pair_channel(feats.dist_atom, slot_atom, feats.masks.atom),
-            bond_dist=_symmetric_pair_channel(feats.dist_bond, slot_bond, feats.masks.bond),
-            bond_tors=_symmetric_pair_channel(feats.cos_bond, slot_bond, feats.masks.bond),
+            atom_dist=PairChannel(feats.dist_atom[ai, aj], slot_atom[ai, aj]),
+            bond_dist=PairChannel(feats.dist_bond[bi, bj], slot_bond[bi, bj]),
+            bond_tors=PairChannel(feats.cos_bond[bi, bj], slot_bond[bi, bj]),
             cross_dist=PairChannel(
-                x=feats.dist_cross[cross_rows, cross_cols],
-                slots=cross_slots,
-                value_idx=np.arange(cross_rows.size),
-                rows=cross_rows,
-                cols=cross_cols,
-                shape=(n, mb),
+                feats.dist_cross[cross_rows, cross_cols], cross_slots[cross_rows, cross_cols]
             ),
-            cross_rows=cross_rows,
-            cross_cols=cross_cols,
-            spd_atom_slots=spd_enc.slot_ids(feats.spd_atom).ravel(),
-            spd_bond_slots=spd_enc.slot_ids(feats.spd_bond).ravel(),
+            attention={
+                "atom_self": atom_att,
+                "bond_self": bond_att,
+                "atom_from_bond": AttentionEdges(
+                    EdgeList(cross_rows, cross_cols, n, mb), np.arange(cross_rows.size)
+                ),
+                "bond_from_atom": AttentionEdges(
+                    EdgeList(cross_cols[by_bond], cross_rows[by_bond], mb, n), by_bond
+                ),
+            },
         )
 
     def prepare_molecule(self, m: Molecule) -> Prepared:
         return self.prepare(self.featurize(m))
 
     # ------------------------------------------------------------------
-    # Bias matrices on the tape
+    # Per-edge biases on the tape
     # ------------------------------------------------------------------
 
     def _encode_pairs(self, P: TapeParams, bank: str, channel: PairChannel) -> Tensor:
-        """Kernel pipeline for one pair channel, scattered into a dense matrix."""
+        """Kernel pipeline for one pair channel: (P, 1) values."""
         mu, sigma = self._grid[bank]
         alpha = ad.gather_rows(P[f"{bank}.alpha"], channel.slots)
         beta = ad.gather_rows(P[f"{bank}.beta"], channel.slots)
         phi = ad.gaussian_kernel_features(alpha, beta, channel.x, mu, sigma)
-        vals = ad.matmul(ad.gelu(ad.matmul(phi, P[f"{bank}.w1"])), P[f"{bank}.w2"])
-        return ad.scatter_pairs(vals, channel.value_idx, channel.rows, channel.cols, channel.shape)
+        return ad.matmul(ad.gelu(ad.matmul(phi, P[f"{bank}.w1"])), P[f"{bank}.w2"])
 
-    def _spd_bias(self, P: TapeParams, table: str, slots: np.ndarray, shape) -> Tensor:
-        return ad.reshape(ad.gather_rows(P[table], slots), shape[0], shape[1])
-
-    def _bias_matrices(self, prep: Prepared, P: TapeParams) -> dict[str, Tensor]:
-        n, mb = prep.n_atoms, prep.n_bonds
-        phi_atom = ad.add(
-            self._encode_pairs(P, "enc.atom", prep.atom_dist),
-            self._spd_bias(P, "enc.spd_atom.table", prep.spd_atom_slots, (n, n)),
-        )
-        phi_bond = ad.add(
-            self._encode_pairs(P, "enc.bond", prep.bond_dist),
-            self._spd_bias(P, "enc.spd_bond.table", prep.spd_bond_slots, (mb, mb)),
-        )
+    def _edge_biases(self, prep: Prepared, P: TapeParams) -> dict[str, Tensor]:
+        """(E, 1) bias per attention kind: its pair value, plus the SPD term on self kinds."""
+        atom = self._encode_pairs(P, "enc.atom", prep.atom_dist)
+        bond = self._encode_pairs(P, "enc.bond", prep.bond_dist)
         if self.config.use_torsion:
-            phi_bond = ad.add(phi_bond, self._encode_pairs(P, "enc.tors", prep.bond_tors))
-
-        mu, sigma = self._grid["enc.cross"]
-        ch = prep.cross_dist
-        alpha = ad.gather_rows(P["enc.cross.alpha"], ch.slots)
-        beta = ad.gather_rows(P["enc.cross.beta"], ch.slots)
-        phi = ad.gaussian_kernel_features(alpha, beta, ch.x, mu, sigma)
-        vals = ad.matmul(ad.gelu(ad.matmul(phi, P["enc.cross.w1"])), P["enc.cross.w2"])
-        phi_a2b = ad.scatter_pairs(vals, ch.value_idx, ch.rows, ch.cols, (n, mb))
-        phi_b2a = ad.scatter_pairs(vals, ch.value_idx, ch.cols, ch.rows, (mb, n))
-
-        return {"atom": phi_atom, "bond": phi_bond, "a2b": phi_a2b, "b2a": phi_b2a}
+            bond = ad.add(bond, self._encode_pairs(P, "enc.tors", prep.bond_tors))
+        cross = self._encode_pairs(P, "enc.cross", prep.cross_dist)
+        values = {"atom_self": atom, "bond_self": bond,
+                  "atom_from_bond": cross, "bond_from_atom": cross}
+        spd_tables = {"atom_self": "enc.spd_atom.table", "bond_self": "enc.spd_bond.table"}
+        biases = {}
+        for kind, att in prep.attention.items():
+            bias = ad.gather_rows(values[kind], att.value_idx)
+            if kind in spd_tables:
+                bias = ad.add(bias, ad.gather_rows(P[spd_tables[kind]], att.spd_slots))
+            biases[kind] = bias
+        return biases
 
     # ------------------------------------------------------------------
     # Attention blocks
@@ -463,7 +460,7 @@ class Model:
         h_q: Tensor,
         h_kv: Tensor,
         bias: Tensor,
-        mask: np.ndarray,
+        edges: EdgeList,
         layer: int,
         kind: str,
         records: list[AttentionRecord] | None,
@@ -472,18 +469,22 @@ class Model:
         bias_l = ad.scale_by(bias, P[f"{prefix}.bias_gain"])
         attn_in = ad.row_normalize(h_q) if cfg.pre_norm else h_q
         kv_in = ad.row_normalize(h_kv) if cfg.pre_norm else h_kv
-        inv_sqrt_dk = 1.0 / math.sqrt(cfg.d_h)
-        heads = []
-        for t in range(cfg.n_heads):
-            q = ad.matmul(attn_in, P[f"{prefix}.head{t}.wq"])
-            k = ad.matmul(kv_in, P[f"{prefix}.head{t}.wk"])
-            v = ad.matmul(kv_in, P[f"{prefix}.head{t}.wv"])
-            scores = ad.scale(ad.matmul(q, ad.transpose(k)), inv_sqrt_dk)
-            weights = ad.softmax_bias_mask(scores, bias_l, mask)
-            if records is not None:
-                records.append(AttentionRecord(layer, t, kind, weights.value.copy()))
-            heads.append(ad.matmul(weights, v))
-        combined = ad.matmul(ad.concat_cols(heads), P[f"{prefix}.wo"])
+
+        def project(x: Tensor, w: str) -> Tensor:  # all heads' projections side by side
+            return ad.matmul(
+                x, ad.concat_cols([P[f"{prefix}.head{t}.{w}"] for t in range(cfg.n_heads)])
+            )
+
+        v = project(kv_in, "wv")
+        weights = ad.softmax_bias_mask(
+            project(attn_in, "wq"), project(kv_in, "wk"), bias_l, edges, cfg.n_heads
+        )
+        if records is not None:
+            records.extend(
+                AttentionRecord(layer, t, kind, edges.dense(weights.value[:, t]))
+                for t in range(cfg.n_heads)
+            )
+        combined = ad.matmul(ad.scatter_pairs(weights, v, edges), P[f"{prefix}.wo"])
         pre_ffn = ad.add(h_q, combined)
         if cfg.pre_norm:
             pre_ffn = ad.row_normalize(pre_ffn)
@@ -508,12 +509,11 @@ class Model:
     ) -> ForwardResult:
         cfg = self.config
         P = TapeParams.for_tape(self.params, tape)
-        feats = prep.feats
-        n, mb = prep.n_atoms, prep.n_bonds
+        mb = prep.n_bonds
         records: list[AttentionRecord] | None = [] if collect_attention else None
 
         if biases is None:
-            biases = self._bias_matrices(prep, P)
+            biases = self._edge_biases(prep, P)
 
         ids = prep.feature_ids
         if masked_ids is not None and masked_ids.size:
@@ -526,42 +526,24 @@ class Model:
             ad.gather_rows(P["embed.bond_length"], prep.bucket_ids),
         )
 
-        mask_atom = feats.masks.atom
-        mask_bond = feats.masks.bond
-        incidence = feats.incidence
-
         for layer in range(cfg.n_layers):
-            h_a = self._attention_update(
-                P, f"layer{layer}.atom_self", h_a, h_a, biases["atom"], mask_atom,
-                layer, "atom_self", records,
-            )
-            h_b = self._attention_update(
-                P, f"layer{layer}.bond_self", h_b, h_b, biases["bond"], mask_bond,
-                layer, "bond_self", records,
-            )
 
-            def cross_atom(ha: Tensor, hb: Tensor) -> Tensor:
+            def attend(kind: str, h_q: Tensor, h_kv: Tensor) -> Tensor:
                 return self._attention_update(
-                    P, f"layer{layer}.atom_from_bond", ha, hb, biases["a2b"], incidence,
-                    layer, "atom_from_bond", records,
+                    P, f"layer{layer}.{kind}", h_q, h_kv, biases[kind],
+                    prep.attention[kind].edges, layer, kind, records,
                 )
 
-            def cross_bond(hb: Tensor, ha: Tensor) -> Tensor:
-                return self._attention_update(
-                    P, f"layer{layer}.bond_from_atom", hb, ha, biases["b2a"], incidence.T,
-                    layer, "bond_from_atom", records,
-                )
-
+            h_a = attend("atom_self", h_a, h_a)
+            h_b = attend("bond_self", h_b, h_b)
             if cfg.parallel_cross:
-                ha_in, hb_in = h_a, h_b
-                h_a = cross_atom(ha_in, hb_in)
-                h_b = cross_bond(hb_in, ha_in)
+                h_a, h_b = attend("atom_from_bond", h_a, h_b), attend("bond_from_atom", h_b, h_a)
             elif cfg.cross_order == "atom_first":
-                h_a = cross_atom(h_a, h_b)
-                h_b = cross_bond(h_b, h_a)
+                h_a = attend("atom_from_bond", h_a, h_b)
+                h_b = attend("bond_from_atom", h_b, h_a)
             else:
-                h_b = cross_bond(h_b, h_a)
-                h_a = cross_atom(h_a, h_b)
+                h_b = attend("bond_from_atom", h_b, h_a)
+                h_a = attend("atom_from_bond", h_a, h_b)
 
         pooled_atom = ad.mean_rows(h_a)
         if mb > 0:
@@ -708,7 +690,7 @@ class Model:
         shared_biases = None
         if w_prop != 0.0 or w_bond != 0.0 or w_mask != 0.0:
             P = TapeParams.for_tape(self.params, tape)
-            shared_biases = self._bias_matrices(li.prep, P)
+            shared_biases = self._edge_biases(li.prep, P)
         if w_prop != 0.0 or w_bond != 0.0:
             fwd = self.forward_features(li.prep, tape, biases=shared_biases)
         if w_prop != 0.0:
@@ -750,6 +732,12 @@ class Model:
     # ------------------------------------------------------------------
 
     def dump_attention(self, m: Molecule) -> dict:
+        """Every layer's per-head dense attention maps; the one dense attention path."""
+        if m.n_atoms > MAX_DUMP_ATTENTION_ATOMS:
+            raise SizeLimitError(
+                f"dump-attention is limited to {MAX_DUMP_ATTENTION_ATOMS} atoms "
+                f"(dense maps grow as N^2), got {m.n_atoms}"
+            )
         fwd = self.forward(m, collect_attention=True)
         return {
             "n_atoms": m.n_atoms,

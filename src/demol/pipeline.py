@@ -60,9 +60,9 @@ def featurize_molecule(
     use_masks: bool = True,
     bonds: BondSet | None = None,
 ) -> Featurization:
-    if bonds is None:
-        bonds = predict_bonds(m, alpha)
     dist_atom = pairwise_distances(m.positions, m.positions)
+    if bonds is None:
+        bonds = predict_bonds(m, alpha, dist=dist_atom)
     g = build_atom_graph(m, bonds)
     bg = build_bond_graph(m, g, bonds)
     nodes = bg.bond_nodes

@@ -8,14 +8,22 @@ checkpoint resume reproduces the uninterrupted run bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tape, TapeParams, backward
-from .errors import CheckpointError, MissingTargetError, NonFiniteError, TrainingError
+from .errors import (
+    CheckpointError,
+    FileAccessError,
+    MissingTargetError,
+    NonFiniteError,
+    TrainingError,
+)
 from .model import Model, ModelConfig
 from .molecule import Molecule
 from .rng import RandomStream
@@ -114,14 +122,7 @@ def train(
     history: list[dict] = []
     flat = model.params.flat()
     for step in range(start_step, train_config.steps):
-        mol = dataset[step % len(dataset)]
-        tape = Tape()
-        try:
-            loss, parts = model.total_loss(mol, rng=rng, tape=tape)
-        except NonFiniteError as exc:
-            raise TrainingError(f"non-finite loss at step {step}: {exc}") from exc
-        tp = TapeParams.for_tape(model.params, tape)
-        grads = tp.flat_gradients(backward(tape, loss))
+        grads, parts = _step_gradients(model, dataset[step % len(dataset)], rng, step)
         if not np.isfinite(grads).all():
             raise TrainingError(f"non-finite gradients at step {step}")
         grads, norm = clip_gradients(grads, train_config.grad_clip)
@@ -133,6 +134,19 @@ def train(
             log(f"step {step}: loss {parts['total']:.6f} grad_norm {norm:.4f}")
 
     return TrainResult(model, history, opt, rng, train_config.steps)
+
+
+def _step_gradients(
+    model: Model, mol: Molecule, rng: RandomStream, step: int
+) -> tuple[np.ndarray, dict[str, float]]:
+    """One step's flat gradient and loss parts; the step's tape dies on return."""
+    tape = Tape()
+    try:
+        loss, parts = model.total_loss(mol, rng=rng, tape=tape)
+    except NonFiniteError as exc:
+        raise TrainingError(f"non-finite loss at step {step}: {exc}") from exc
+    tp = TapeParams.for_tape(model.params, tape)
+    return tp.flat_gradients(backward(tape, loss)), parts
 
 
 def evaluate(dataset: list[Molecule], model: Model) -> float:
@@ -152,9 +166,33 @@ def evaluate(dataset: list[Molecule], model: Model) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _temp_path(path: str) -> str:
+    return f"{path}.{os.getpid()}.tmp"
+
+
+def check_checkpoint_path(path: str) -> None:
+    """Raise ``FileAccessError`` now if no checkpoint could be written at ``path``.
+
+    Creates and removes the temp file ``save_checkpoint`` would write; an
+    existing checkpoint at ``path`` is not touched.
+    """
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path} is a directory")
+        with open(_temp_path(path), "wb"):
+            pass
+        os.remove(_temp_path(path))
+    except OSError as exc:
+        raise FileAccessError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from None
+
+
 def save_checkpoint(
     path: str, model: Model, opt: OptimizerState, rng: RandomStream, step: int
 ) -> None:
+    """Write a temp file next to ``path``, fsync it, then rename it over ``path``.
+
+    A failed write raises ``FileAccessError`` and leaves any old file intact.
+    """
     params_flat = model.params.flat()
     payload = np.concatenate([params_flat, opt.m, opt.v]).astype("<f8").tobytes()
     header = {
@@ -169,11 +207,20 @@ def save_checkpoint(
         "payload_len": len(payload),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(len(header_bytes).to_bytes(4, "little"))
-        fh.write(header_bytes)
-        fh.write(payload)
+    tmp = _temp_path(path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(len(header_bytes).to_bytes(4, "little"))
+            fh.write(header_bytes)
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise FileAccessError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from None
 
 
 def load_checkpoint(path: str) -> tuple[Model, OptimizerState, RandomStream, int]:

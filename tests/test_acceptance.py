@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from demol import autodiff as ad
-from demol.autodiff import Tape, TapeParams, backward, grad_check
+from demol.autodiff import EdgeList, Tape, TapeParams, backward, grad_check
 from demol.bonds import predict_bonds
 from demol.encodings import (
     GaussianKernelBank,
@@ -223,14 +223,26 @@ def test_criterion_05_geometry():
 def test_criterion_06_attention_contracts():
     rs = np.random.RandomState(6)
 
-    # op-level: row sums, exact zeros, shift invariance
+    # op-level: row sums, exact zeros, shift invariance. The logits are the
+    # op's scaled dot products q.k / sqrt(cols), with the identity as keys.
+    def weights(logits, bias, mask):
+        edges = EdgeList.from_mask(mask)
+        tape = Tape()
+        w = ad.softmax_bias_mask(
+            tape.leaf(logits * math.sqrt(mask.shape[1])),
+            tape.leaf(np.eye(mask.shape[1])),
+            tape.leaf(bias[edges.rows, edges.cols].reshape(-1, 1)),
+            edges,
+            1,
+        )
+        return edges.dense(w.value[:, 0])
+
     for _ in range(20):
         rows, cols = rs.randint(1, 7), rs.randint(1, 7)
         logits_val = rs.normal(scale=3.0, size=(rows, cols))
         bias_val = rs.normal(scale=2.0, size=(rows, cols))
         mask = rs.rand(rows, cols) < 0.6
-        tape = Tape()
-        w = ad.softmax_bias_mask(tape.leaf(logits_val), tape.leaf(bias_val), mask).value
+        w = weights(logits_val, bias_val, mask)
         for i in range(rows):
             if mask[i].any():
                 assert abs(w[i].sum() - 1.0) <= 1e-12
@@ -238,10 +250,7 @@ def test_criterion_06_attention_contracts():
                 assert w[i].sum() == 0.0
         assert (w[~mask] == 0.0).all()
         shifts = rs.normal(scale=10.0, size=(rows, 1))
-        tape = Tape()
-        w_shifted = ad.softmax_bias_mask(
-            tape.leaf(logits_val + shifts), tape.leaf(bias_val), mask
-        ).value
+        w_shifted = weights(logits_val + shifts, bias_val, mask)
         assert np.abs(w_shifted - w).max() <= 1e-12
 
     # model-level: a molecule with masked pairs and an isolated atom

@@ -1,12 +1,15 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demol import autodiff as ad
 from demol.autodiff import (
+    EdgeList,
     ModelParams,
     Tape,
     TapeParams,
@@ -75,10 +78,9 @@ class TestBasicOps:
             err = np.abs(analytic - fd) / np.maximum(1e-8, np.abs(analytic) + np.abs(fd))
             assert err.max() <= 1e-5
 
-    def test_transpose_concat_gather_roundtrip_values(self):
+    def test_concat_gather_roundtrip_values(self):
         tape = Tape()
         x = tape.leaf([[1.0, 2.0], [3.0, 4.0]])
-        assert (ad.transpose(x).value == x.value.T).all()
         assert (ad.concat_rows([x, x]).value == np.vstack([x.value] * 2)).all()
         assert (ad.concat_cols([x, x]).value == np.hstack([x.value] * 2)).all()
         assert (ad.gather_rows(x, [1, 0, 1]).value == x.value[[1, 0, 1]]).all()
@@ -128,21 +130,66 @@ class TestGelu:
         assert np.abs(g - fd).max() < 1e-7
 
 
+def edge_softmax(logits, bias, mask):
+    """Dense (R, C) weights of the edge-list op on a dense one-head problem.
+
+    The logits are the op's scaled dot products q.k / sqrt(d) with d = C,
+    q = logits * sqrt(C) and the identity as keys; the bias is read on the
+    allowed entries only.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    r, c = mask.shape
+    edges = EdgeList.from_mask(mask)
+    tape = Tape()
+    w = ad.softmax_bias_mask(
+        tape.leaf(np.asarray(logits) * math.sqrt(c)),
+        tape.leaf(np.eye(c)),
+        tape.leaf(np.asarray(bias)[edges.rows, edges.cols].reshape(-1, 1)),
+        edges,
+        1,
+    )
+    return edges.dense(w.value[:, 0])
+
+
+def dense_attention(q, k, v, bias, mask, heads, g_out, g_w):
+    """Oracle: per-head dense masked softmax and its hand-derived gradients.
+
+    Returns the weights (H, R, C), the output (R, H*d) and the gradients of
+    sum(g_out * output) + sum(g_w * weights) wrt q, k, v and the dense bias.
+    """
+    r, c = mask.shape
+    d = q.shape[1] // heads
+    w = np.zeros((heads, r, c))
+    out = np.zeros((r, heads * d))
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    dbias = np.zeros((r, c))
+    for h in range(heads):
+        blk = slice(h * d, (h + 1) * d)
+        z = np.where(mask, q[:, blk] @ k[:, blk].T / math.sqrt(d) + bias, -np.inf)
+        for i in range(r):
+            if mask[i].any():
+                e = np.where(mask[i], np.exp(z[i] - z[i][mask[i]].max()), 0.0)
+                w[h, i] = e / e.sum()
+        out[:, blk] = w[h] @ v[:, blk]
+        dw = g_out[:, blk] @ v[:, blk].T + g_w[h]
+        dv[:, blk] = w[h].T @ g_out[:, blk]
+        ds = w[h] * (dw - (dw * w[h]).sum(axis=1, keepdims=True))
+        dq[:, blk] = ds @ k[:, blk] / math.sqrt(d)
+        dk[:, blk] = ds.T @ q[:, blk] / math.sqrt(d)
+        dbias += ds
+    return w, out, dq, dk, dv, dbias
+
+
 class TestSoftmaxBiasMask:
     def test_uniform(self):
-        tape = Tape()
-        logits = tape.leaf(np.full((2, 4), 1.7))
-        bias = tape.leaf(np.zeros((2, 4)))
-        w = ad.softmax_bias_mask(logits, bias, np.ones((2, 4), dtype=bool))
-        assert np.abs(w.value - 0.25).max() < 1e-15
+        w = edge_softmax(np.full((2, 4), 1.7), np.zeros((2, 4)), np.ones((2, 4), dtype=bool))
+        assert np.abs(w - 0.25).max() < 1e-15
 
     def test_single_unmasked_entry(self):
-        tape = Tape()
-        logits = tape.leaf(np.random.RandomState(0).normal(size=(3, 3)))
-        bias = tape.leaf(np.zeros((3, 3)))
+        logits = np.random.RandomState(0).normal(size=(3, 3))
         mask = np.eye(3, dtype=bool)
-        w = ad.softmax_bias_mask(logits, bias, mask)
-        assert (w.value == np.eye(3)).all()
+        w = edge_softmax(logits, np.zeros((3, 3)), mask)
+        assert (w == np.eye(3)).all()
 
     def test_against_straight_line_oracle(self):
         rs = np.random.RandomState(5)
@@ -150,8 +197,7 @@ class TestSoftmaxBiasMask:
         bias_val = rs.normal(size=(4, 6))
         mask = rs.rand(4, 6) < 0.7
         mask[2] = False  # a fully masked row
-        tape = Tape()
-        w = ad.softmax_bias_mask(tape.leaf(logits_val), tape.leaf(bias_val), mask)
+        w = edge_softmax(logits_val, bias_val, mask)
         expected = np.zeros((4, 6))
         for i in range(4):
             exps = [
@@ -161,16 +207,13 @@ class TestSoftmaxBiasMask:
             s = sum(exps)
             if s > 0:
                 expected[i] = [e / s for e in exps]
-        assert np.abs(w.value - expected).max() <= 1e-12
+        assert np.abs(w - expected).max() <= 1e-12
 
     def test_rows_sum_to_one_or_zero(self):
         rs = np.random.RandomState(7)
-        tape = Tape()
         mask = rs.rand(5, 5) < 0.5
-        w = ad.softmax_bias_mask(
-            tape.leaf(rs.normal(size=(5, 5))), tape.leaf(rs.normal(size=(5, 5))), mask
-        )
-        sums = w.value.sum(axis=1)
+        w = edge_softmax(rs.normal(size=(5, 5)), rs.normal(size=(5, 5)), mask)
+        sums = w.sum(axis=1)
         for i, s in enumerate(sums):
             if mask[i].any():
                 assert abs(s - 1.0) <= 1e-12
@@ -179,12 +222,9 @@ class TestSoftmaxBiasMask:
 
     def test_masked_positions_exactly_zero(self):
         rs = np.random.RandomState(9)
-        tape = Tape()
         mask = rs.rand(4, 4) < 0.6
-        w = ad.softmax_bias_mask(
-            tape.leaf(rs.normal(size=(4, 4))), tape.leaf(rs.normal(size=(4, 4))), mask
-        )
-        assert (w.value[~mask] == 0.0).all()
+        w = edge_softmax(rs.normal(size=(4, 4)), rs.normal(size=(4, 4)), mask)
+        assert (w[~mask] == 0.0).all()
 
     @given(st.floats(-30, 30))
     @settings(max_examples=50, deadline=None)
@@ -193,36 +233,95 @@ class TestSoftmaxBiasMask:
         logits_val = rs.normal(size=(3, 5))
         bias_val = rs.normal(size=(3, 5))
         mask = rs.rand(3, 5) < 0.8
-        tape = Tape()
-        base = ad.softmax_bias_mask(tape.leaf(logits_val), tape.leaf(bias_val), mask)
-        shifted = ad.softmax_bias_mask(
-            tape.leaf(logits_val + shift), tape.leaf(bias_val), mask
-        )
-        assert np.abs(base.value - shifted.value).max() <= 1e-12
+        base = edge_softmax(logits_val, bias_val, mask)
+        shifted = edge_softmax(logits_val + shift, bias_val, mask)
+        assert np.abs(base - shifted).max() <= 1e-12
 
     def test_gradient_matches_fd(self):
         rs = np.random.RandomState(13)
-        logits_val = rs.normal(size=(3, 4))
-        bias_val = rs.normal(size=(3, 4))
+        heads, d = 2, 3
+        q_val = rs.normal(size=(3, heads * d))
+        k_val = rs.normal(size=(4, heads * d))
         mask = rs.rand(3, 4) < 0.7
-        w_out = rs.normal(size=(3, 4))
+        edges = EdgeList.from_mask(mask)
+        bias_val = rs.normal(size=(len(edges), 1))
+        w_out = rs.normal(size=(len(edges), heads))
 
         def value():
-            z = np.where(mask, logits_val + bias_val, -np.inf)
-            m = np.where(np.isfinite(z.max(axis=1, keepdims=True)), z.max(axis=1, keepdims=True), 0)
-            e = np.where(mask, np.exp(z - m), 0.0)
-            s = e.sum(axis=1, keepdims=True)
-            w = e / np.where(s > 0, s, 1.0)
-            return float((w_out * w).sum())
+            bias = edges.dense(bias_val[:, 0])
+            zero = np.zeros((3, heads * d))
+            w, *_ = dense_attention(
+                q_val, k_val, k_val, bias, mask, heads, zero, np.zeros((heads, 3, 4))
+            )
+            return float(sum((w_out[:, h] * w[h][edges.rows, edges.cols]).sum() for h in range(heads)))
 
         tape = Tape()
-        logits = tape.leaf(logits_val)
-        bias = tape.leaf(bias_val)
-        loss = ad.sum_all(ad.mul(tape.leaf(w_out), ad.softmax_bias_mask(logits, bias, mask)))
+        q, k, bias = leafs(tape, q_val, k_val, bias_val)
+        w = ad.softmax_bias_mask(q, k, bias, edges, heads)
+        loss = ad.sum_all(ad.mul(tape.leaf(w_out), w))
         grads = backward(tape, loss)
-        fd_l, fd_b = fd_gradient(value, [logits_val, bias_val])
-        assert np.abs(grads.wrt(logits) - fd_l).max() < 1e-6
+        fd_q, fd_k, fd_b = fd_gradient(value, [q_val, k_val, bias_val])
+        assert np.abs(grads.wrt(q) - fd_q).max() < 1e-6
+        assert np.abs(grads.wrt(k) - fd_k).max() < 1e-6
         assert np.abs(grads.wrt(bias) - fd_b).max() < 1e-6
+
+
+class TestEdgeAttentionOracle:
+    """Both edge ops against a dense masked softmax, values and gradients to 1e-12."""
+
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.integers(0, 6),
+        heads=st.integers(1, 3),
+        d=st.integers(1, 3),
+        density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        isolated_row=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(rows=3, cols=0, heads=2, d=2, density=1.0, isolated_row=False, seed=0)  # E = 0
+    @example(rows=4, cols=4, heads=2, d=3, density=1.0, isolated_row=False, seed=1)  # all pairs
+    @example(rows=4, cols=3, heads=1, d=2, density=1.0, isolated_row=True, seed=2)  # empty row
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_masked_softmax(self, rows, cols, heads, d, density, isolated_row, seed):
+        rs = np.random.RandomState(seed)
+        mask = rs.rand(rows, cols) < density
+        if isolated_row:
+            mask[rs.randint(rows)] = False  # an isolated atom: no key to attend
+        q_val = rs.normal(scale=2.0, size=(rows, heads * d))
+        k_val = rs.normal(scale=2.0, size=(cols, heads * d))
+        v_val = rs.normal(size=(cols, heads * d))
+        bias_dense = rs.normal(size=(rows, cols))
+        g_out = rs.normal(size=(rows, heads * d))
+        g_w = rs.normal(size=(heads, rows, cols))
+        w_ref, out_ref, dq_ref, dk_ref, dv_ref, dbias_ref = dense_attention(
+            q_val, k_val, v_val, bias_dense, mask, heads, g_out, g_w
+        )
+
+        edges = EdgeList.from_mask(mask)
+        er, ec = edges.rows, edges.cols
+        tape = Tape()
+        q, k, v = leafs(tape, q_val, k_val, v_val)
+        bias = tape.leaf(bias_dense[er, ec].reshape(-1, 1))
+        w = ad.softmax_bias_mask(q, k, bias, edges, heads)
+        out = ad.scatter_pairs(w, v, edges)
+        g_w_edges = np.stack([g_w[h][er, ec] for h in range(heads)], axis=1).reshape(-1, heads)
+        loss = ad.add(
+            ad.sum_all(ad.mul(tape.leaf(g_out), out)),
+            ad.sum_all(ad.mul(tape.leaf(g_w_edges), w)),
+        )
+        grads = backward(tape, loss)
+
+        def close(got, ref):
+            got = np.zeros_like(ref) if got is None else got
+            return np.abs(got - ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max(initial=0.0))
+
+        for h in range(heads):
+            assert close(edges.dense(w.value[:, h]), w_ref[h])
+        assert close(out.value, out_ref)
+        assert close(grads.wrt(q), dq_ref)
+        assert close(grads.wrt(k), dk_ref)
+        assert close(grads.wrt(v), dv_ref)
+        assert close(grads.wrt(bias), dbias_ref[er, ec].reshape(-1, 1))
 
 
 class TestFusedOps:
@@ -290,26 +389,58 @@ class TestFusedOps:
 
     def test_scatter_pairs_and_row_normalize_gradients(self):
         rs = np.random.RandomState(23)
-        vals = rs.normal(size=(3, 1))
-        w_out = rs.normal(size=(2, 2))
-        idx = np.array([0, 1, 2])
-        rows = np.array([0, 0, 1])
-        cols = np.array([0, 1, 1])
+        edges = EdgeList([0, 0, 1], [0, 1, 1], 2, 2)
+        w_val = rs.normal(size=(3, 2))  # two heads
+        v_val = rs.normal(size=(2, 4))  # d = 2 per head
+        w_out = rs.normal(size=(2, 4))
 
         def value():
-            m = np.zeros((2, 2))
-            np.add.at(m, (rows, cols), vals[idx, 0])
+            m = np.zeros((2, 4))
+            for e in range(3):
+                for h in range(2):
+                    m[edges.rows[e], 2 * h : 2 * h + 2] += w_val[e, h] * v_val[edges.cols[e], 2 * h : 2 * h + 2]
             mu = m.mean(axis=1, keepdims=True)
             y = (m - mu) / np.sqrt(m.var(axis=1, keepdims=True) + 1e-5)
             return float((w_out * y).sum())
 
         tape = Tape()
-        v = tape.leaf(vals)
-        y = ad.row_normalize(ad.scatter_pairs(v, idx, rows, cols, (2, 2)))
+        w, v = leafs(tape, w_val, v_val)
+        y = ad.row_normalize(ad.scatter_pairs(w, v, edges))
         loss = ad.sum_all(ad.mul(tape.leaf(w_out), y))
-        g = backward(tape, loss).wrt(v)
-        (fd,) = fd_gradient(value, [vals])
-        assert np.abs(g - fd).max() < 1e-6
+        grads = backward(tape, loss)
+        fd_w, fd_v = fd_gradient(value, [w_val, v_val])
+        assert np.abs(grads.wrt(w) - fd_w).max() < 1e-6
+        assert np.abs(grads.wrt(v) - fd_v).max() < 1e-6
+
+
+class TestTapeLifetime:
+    def test_tape_freed_without_cyclic_collector(self):
+        params = ModelParams()
+        params.register("w", np.ones((2, 2)))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape = Tape()
+            tp = TapeParams.for_tape(params, tape)
+            edges = EdgeList.from_mask(np.ones((2, 2), dtype=bool))
+            q = ad.matmul(tape.leaf(np.eye(2)), tp["w"])
+            w = ad.softmax_bias_mask(q, tp["w"], tape.leaf(np.zeros((4, 1))), edges, 1)
+            loss = ad.sum_all(ad.scatter_pairs(w, q, edges))
+            assert tp.flat_gradients(backward(tape, loss)).any()
+            ref = weakref.ref(tape)
+            del tape, tp, q, w, loss
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_views_of_one_tape_share_leaves(self):
+        params = ModelParams()
+        params.register("w", np.ones((1, 1)))
+        tape = Tape()
+        a = TapeParams.for_tape(params, tape)["w"]
+        b = TapeParams.for_tape(params, tape)["w"]
+        assert a.node_id == b.node_id and len(tape) == 1
 
 
 class TestBackward:
@@ -406,15 +537,18 @@ class TestGradCheck:
             params.register("w1", rs.normal(scale=0.5, size=(3, 4)))
             params.register("w2", rs.normal(scale=0.5, size=(4, 2)))
             x_val = rs.normal(size=(5, 3))
-            mask = rs.rand(5, 2) < 0.8
+            keys_val = rs.normal(size=(2, 2))
+            edges = EdgeList.from_mask(rs.rand(5, 2) < 0.8)
 
             def run(tape):
                 tp = TapeParams.for_tape(params, tape)
-                x = tape.leaf(x_val) if tape is not None else ad.constant(x_val)
+                x, keys, zero = (
+                    ad.constant(a, tape) for a in (x_val, keys_val, np.zeros((len(edges), 1)))
+                )
                 h = ad.gelu(ad.matmul(x, tp["w1"]))
-                logits = ad.matmul(h, tp["w2"])
-                w = ad.softmax_bias_mask(logits, ad.scale(logits, 0.0), mask)
-                out = ad.sum_all(ad.mul(w, logits))
+                q = ad.matmul(h, tp["w2"])  # one head, d = 2
+                w = ad.softmax_bias_mask(q, keys, zero, edges, 1)
+                out = ad.sum_all(ad.mul(ad.scatter_pairs(w, keys, edges), q))
                 return ad.mul(out, out), tp
 
             def f(tape):

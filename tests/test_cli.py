@@ -197,6 +197,22 @@ class TestTrain:
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
 
+    def test_unwritable_ckpt_exits_2_before_training(self, capsys, dataset_dir, tmp_path, monkeypatch):
+        import demol.cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran with an unwritable --ckpt")
+
+        monkeypatch.setattr(demol.cli, "train", no_training)
+        config = tmp_path / "c.cfg"
+        config.write_text("steps = 2\n")
+        ckpt = str(config / "x.ckpt")
+        code, out, err = run(
+            capsys, ["train", "--dataset", dataset_dir, "--config", str(config), "--ckpt", ckpt]
+        )
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "x.ckpt" in err
+
 
 class TestGradcheck:
     def test_report_contract(self, capsys, tmp_path):
@@ -227,6 +243,25 @@ class TestDumpAttention:
             for row in m["weights"]:
                 s = sum(row)
                 assert abs(s - 1.0) <= 1e-9 or abs(s) <= 1e-12
+
+    def test_atom_limit_exits_2_before_the_maps(self, capsys, tmp_path, monkeypatch):
+        from demol.fixtures import chain
+        from demol.model import MAX_DUMP_ATTENTION_ATOMS, Model
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("attention maps built above the atom limit")
+
+        monkeypatch.setattr(Model, "forward", no_forward)
+        mol = chain(MAX_DUMP_ATTENTION_ATOMS + 1)
+        path = tmp_path / "long.xyz"
+        path.write_text(
+            f"{mol.n_atoms}\nlong chain\n"
+            + "".join(f"C {x:.6f} {y:.6f} {z:.6f}\n" for x, y, z in mol.positions)
+        )
+        code, out, err = run(capsys, ["dump-attention", str(path)])
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert str(MAX_DUMP_ATTENTION_ATOMS) in err
 
 
 class TestSelftest:

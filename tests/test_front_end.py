@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import micro_config
+from conftest import micro_config, random_molecule
 from demol.bonds import Bond, BondSet, predict_bonds
 from demol.elements import default_radii_table
 from demol.encodings import (
@@ -227,3 +227,23 @@ def test_cosines_and_pair_slots_match_loops(mol):
         cross_pair_slot_matrix(mol, types, enc.cross_bank),
         loop_slots(symbols, types, cross_pair_key, enc.cross_bank),
     )
+
+
+def test_featurization_computes_three_distance_matrices(monkeypatch):
+    # predict_bonds reads featurize_molecule's atom distance matrix
+    import demol.bonds
+    import demol.pipeline
+    from demol.molecule import pairwise_distances
+
+    calls = []
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return pairwise_distances(a, b)
+
+    monkeypatch.setattr(demol.pipeline, "pairwise_distances", counted)
+    monkeypatch.setattr(demol.bonds, "pairwise_distances", counted)
+    mol = random_molecule(np.random.RandomState(12))
+    feats = featurize_molecule(mol)
+    assert len(calls) == 3
+    assert feats.bonds == predict_bonds(mol)

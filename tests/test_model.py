@@ -220,11 +220,11 @@ class TestCrossAttention:
         base = model.forward_features(prep, collect_attention=True)
         w0 = [r for r in base.attention if r.kind == "bond_from_atom"][0].weights
         # push the cross bias toward the oxygen endpoint and compare
-        bias = np.zeros((2, 3))
-        bias[:, 0] = 5.0
+        edges = prep.attention["bond_from_atom"].edges
+        bias = np.where(edges.cols == 0, 5.0, 0.0)
         P = TapeParams.for_tape(model.params, None)
-        biases = model._bias_matrices(prep, P)
-        biases["b2a"] = ad.add(biases["b2a"], ad.constant(bias))
+        biases = model._edge_biases(prep, P)
+        biases["bond_from_atom"] = ad.add(biases["bond_from_atom"], ad.constant(bias))
         boosted = model.forward_features(prep, collect_attention=True, biases=biases)
         w1 = [r for r in boosted.attention if r.kind == "bond_from_atom"][0].weights
         assert (w1[:, 0] > w0[:, 0]).all()
@@ -488,24 +488,24 @@ class TestBiasPathsAgree:
             feats = model.featurize(mol)
             prep = model.prepare(feats)
             P = TapeParams.for_tape(model.params, None)
-            biases = model._bias_matrices(prep, P)
+            biases = model._edge_biases(prep, P)
             bundle = assemble_bundle(
                 mol, feats.atom_graph, feats.bond_graph, feats.bond_nodes,
                 model.encoders(), feats.masks,
             )
-            am = feats.masks.atom
-            bm = feats.masks.bond
-            assert np.abs(biases["atom"].value[am] - bundle.phi_atom[am]).max() < 1e-12
-            if bm.size:
-                assert np.abs(biases["bond"].value[bm] - bundle.phi_bond[bm]).max() < 1e-12
-            inc = feats.incidence
-            if inc.size:
-                assert np.abs(
-                    biases["a2b"].value[inc] - bundle.phi_atom_to_bond[inc]
-                ).max() < 1e-12
-                assert np.abs(
-                    biases["b2a"].value[inc.T] - bundle.phi_bond_to_atom[inc.T]
-                ).max() < 1e-12
+            # every edge is an allowed entry, and every allowed entry an edge
+            for kind, dense, allowed in (
+                ("atom_self", bundle.phi_atom, feats.masks.atom),
+                ("bond_self", bundle.phi_bond, feats.masks.bond),
+                ("atom_from_bond", bundle.phi_atom_to_bond, feats.incidence),
+                ("bond_from_atom", bundle.phi_bond_to_atom, feats.incidence.T),
+            ):
+                edges = prep.attention[kind].edges
+                assert len(edges) == int(allowed.sum())
+                assert allowed[edges.rows, edges.cols].all()
+                if len(edges):
+                    got = biases[kind].value[:, 0]
+                    assert np.abs(got - dense[edges.rows, edges.cols]).max() < 1e-12
 
 
 class TestGradients:

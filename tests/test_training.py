@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from conftest import micro_config
-from demol.errors import CheckpointError, MissingTargetError
+from demol.autodiff import Tape
+from demol.errors import CheckpointError, FileAccessError, MissingTargetError
 from demol.fixtures import chain, water
 from demol.model import Model
 from demol.rng import RandomStream
@@ -10,6 +13,7 @@ from demol.training import (
     OptimizerState,
     TrainConfig,
     adamw_update,
+    check_checkpoint_path,
     clip_gradients,
     evaluate,
     load_checkpoint,
@@ -121,6 +125,30 @@ class TestTrainLoop:
         result = train(dataset, prop_only_config(), TrainConfig(seed=1, steps=4, lr=0.0))
         assert [r["step"] for r in result.history] == [0, 1, 2, 3]
 
+    def test_each_step_tape_freed_before_the_next(self, monkeypatch):
+        import gc
+        import weakref
+
+        from demol import training
+
+        tapes = []
+
+        def tracked_tape():
+            assert all(ref() is None for ref in tapes), "an earlier step's tape is alive"
+            tape = Tape()
+            tapes.append(weakref.ref(tape))
+            return tape
+
+        monkeypatch.setattr(training, "Tape", tracked_tape)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train(tiny_dataset(), micro_config(), TrainConfig(seed=2, steps=3, lr=1e-3))
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(tapes) == 3 and all(ref() is None for ref in tapes)
+
     def test_non_finite_loss_aborts_with_step_index(self, tmp_path):
         from demol.errors import TrainingError
 
@@ -209,6 +237,35 @@ class TestCheckpoints:
         open(path, "wb").write(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_existing_checkpoint(self, tmp_path, monkeypatch):
+        from demol import training
+
+        result = train(tiny_dataset(), prop_only_config(), TrainConfig(seed=9, steps=1))
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, result.model, result.optimizer, result.rng, result.step)
+        before = open(path, "rb").read()
+
+        def no_space(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(training.os, "fsync", no_space)
+        result.model.params["head.readout.b"][:] = 1.0
+        with pytest.raises(FileAccessError, match="No space left"):
+            save_checkpoint(path, result.model, result.optimizer, result.rng, 2)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    def test_unwritable_path_is_file_access_error(self, tmp_path):
+        result = train(tiny_dataset(), prop_only_config(), TrainConfig(seed=9, steps=1))
+        blocker = tmp_path / "c.cfg"
+        blocker.write_text("steps = 1\n")
+        for path in (str(blocker / "x.ckpt"), str(tmp_path)):
+            with pytest.raises(FileAccessError):
+                check_checkpoint_path(path)
+            with pytest.raises(FileAccessError):
+                save_checkpoint(path, result.model, result.optimizer, result.rng, 1)
+        assert sorted(os.listdir(tmp_path)) == ["c.cfg"]
 
     def test_config_mismatch_on_resume(self, tmp_path):
         dataset = tiny_dataset()
