@@ -23,20 +23,7 @@ from .elements import (
     default_radii_table,
     load_radii_file,
 )
-from .encodings import (
-    EncoderSet,
-    EncodingBundle,
-    GaussianKernelBank,
-    SpdEncoder,
-    UNREACHABLE,
-    assemble_bundle,
-    cosine_matrix,
-    distance_encoding,
-    gaussian_basis,
-    spd_encoding,
-    spd_matrix,
-    torsion_matrix,
-)
+from .encodings import UNREACHABLE, cosine_matrix, spd_matrix
 from .errors import (
     CheckpointError,
     DemolError,
@@ -60,7 +47,7 @@ from .graphs import (
     build_line_graph,
 )
 from .masks import MaskMatrices, atom_mask, bond_mask, build_masks
-from .model import EmbeddingSet, Model, ModelConfig
+from .model import EmbeddingSet, Model, ModelConfig, assemble_bundle
 from .molecule import (
     Atom,
     Molecule,

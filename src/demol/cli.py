@@ -19,7 +19,6 @@ import numpy as np
 from .autodiff import TapeParams, grad_check
 from .bonds import predict_bonds
 from .elements import default_radii_table
-from .encodings import assemble_bundle
 from .errors import (
     CheckpointError,
     DemolError,
@@ -31,10 +30,11 @@ from .errors import (
     TrainingError,
     UnknownElementError,
     read_text,
+    write_file,
 )
 from .fixtures import benzene_skeleton, chain, star_ch3, water
 from .masks import bond_mask
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, assemble_bundle
 from .molecule import Molecule, parse_molecule_json, parse_xyz
 from .pipeline import featurize_molecule
 from .rng import RandomStream
@@ -101,18 +101,10 @@ def load_dataset(directory: str) -> list[Molecule]:
     return [load_molecule(os.path.join(directory, n)) for n in _dataset_files(directory)]
 
 
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise FileAccessError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
 def _emit_json(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
-        _write_text(out_path, text)
+        write_file(out_path, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 
@@ -164,21 +156,16 @@ def _feature_doc(model: Model, mol: Molecule, alpha: float, cutoff: float) -> di
     feats = featurize_molecule(
         mol, alpha=alpha, cutoff=cutoff, use_masks=model.config.use_structure_masks
     )
-    bundle = assemble_bundle(
-        mol, feats.atom_graph, feats.bond_graph, feats.bond_nodes, model.encoders(), feats.masks
-    )
+    phi = assemble_bundle(model, feats)  # a module global, so tracing can wrap it
     return {
         "n_atoms": mol.n_atoms,
         "n_bonds": feats.n_bonds,
-        "phi_atom": bundle.phi_atom.tolist(),
-        "phi_bond": bundle.phi_bond.tolist(),
-        "phi_a2b": bundle.phi_atom_to_bond.tolist(),
-        "phi_b2a": bundle.phi_bond_to_atom.tolist(),
-        "mask_atom": bundle.mask_atom.astype(int).tolist(),
-        "mask_bond": bundle.mask_bond.astype(int).tolist(),
-        "spd_atom": bundle.spd_atom.tolist(),
-        "spd_bond": bundle.spd_bond.tolist(),
-        "cosines": bundle.cosines.tolist(),
+        **{name: arr.tolist() for name, arr in phi.items()},
+        "mask_atom": feats.masks.atom.astype(int).tolist(),
+        "mask_bond": feats.masks.bond.astype(int).tolist(),
+        "spd_atom": feats.spd_atom.tolist(),
+        "spd_bond": feats.spd_bond.tolist(),
+        "cosines": feats.cos_bond.tolist(),
     }
 
 
@@ -199,7 +186,7 @@ def cmd_featurize(args) -> int:
             mol = load_molecule(os.path.join(args.dataset, name))
             doc = _feature_doc(model, mol, alpha, cutoff)
             out_path = os.path.join(args.out, os.path.splitext(name)[0] + ".features.json")
-            _write_text(out_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            _emit_json(doc, out_path)
             written.append(out_path)
         sys.stdout.write(json.dumps({"written": written}, indent=2) + "\n")
         return EXIT_OK
@@ -413,8 +400,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seed", None) is None:
-            args.seed = 0
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy, and the checked file reads and writes, shared across the package."""
+
+import contextlib
+import os
 
 
 class DemolError(Exception):
@@ -56,3 +59,33 @@ def read_text(path: str, what: str) -> str:
 
 class SizeLimitError(DemolError):
     """An input exceeds an explicit size limit of a dense code path."""
+
+
+def temp_path(path: str) -> str:
+    """The temp file ``write_file`` fills before renaming it over ``path``."""
+    return f"{path}.{os.getpid()}.tmp"
+
+
+def write_file(path: str, data: bytes, what: str = "") -> None:
+    """Write a temp file next to ``path``, fsync it, then rename it over ``path``.
+
+    A failed write raises ``FileAccessError`` and leaves any old file intact and
+    no temp file behind; ``what`` names the file in the error message. A device
+    or pipe such as ``/dev/stdout`` cannot be renamed over and is written in place.
+    """
+    tmp = temp_path(path)
+    try:
+        if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
+            with open(path, "wb") as fh:
+                fh.write(data)
+            return
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        subject = f"{what} {path}" if what else path
+        raise FileAccessError(f"cannot write {subject}: {exc.strerror or exc}") from None

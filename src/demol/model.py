@@ -7,7 +7,8 @@ allows, with all heads at once; a masked pair has no edge and costs nothing.
 Residual placement is ``h_next = FFN(h + attention_out)`` with no
 normalization layers by default. All encoding parameters (kernel banks, SPD
 tables) are evaluated on the differentiation tape so every learnable value
-receives a gradient.
+receives a gradient; ``assemble_bundle`` runs the same code without a tape to
+export the biases.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from .autodiff import EdgeList, ModelParams, Tape, TapeParams, Tensor
 from .bonds import BondSet
 from .elements import ATOMIC_NUMBERS
 from .encodings import (
-    EncoderSet,
-    GaussianKernelBank,
-    SpdEncoder,
+    PairKey,
     atom_pair_key,
     bond_pair_key,
     bond_type_key,
@@ -31,6 +30,7 @@ from .encodings import (
     build_pair_index,
     cross_pair_key,
     pair_slot_matrix,
+    spd_slot_ids,
 )
 from .errors import MissingTargetError, ShapeError, SizeLimitError
 from .masks import DEFAULT_CUTOFF
@@ -82,8 +82,13 @@ class ModelConfig:
             raise ValueError("bad layer or FFN configuration")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ValueError("mask_ratio must be in [0, 1)")
-        if self.coord_noise_sigma < 0:
+        if not self.coord_noise_sigma >= 0:  # also rejects NaN
             raise ValueError("coord_noise_sigma must be >= 0")
+        if self.kernels < 1 or self.n_length_buckets < 1 or self.max_spd < 0:
+            raise ValueError("kernels and n_length_buckets must be >= 1 and max_spd >= 0")
+        positive = ("width_dist", "width_tors", "length_bucket_width", "bond_alpha", "mask_cutoff")
+        if not all(getattr(self, name) > 0 for name in positive):
+            raise ValueError(f"{', '.join(positive)} must be positive")
         if len(self.loss_weights) != 4:
             raise ValueError("loss_weights is (w_prop, w_mask, w_coord, w_bond)")
         if self.cross_order not in ("atom_first", "bond_first"):
@@ -193,7 +198,7 @@ class LossInputs:
 
 
 def _self_edges(
-    allowed: np.ndarray, spd: np.ndarray, spd_enc: SpdEncoder
+    allowed: np.ndarray, spd: np.ndarray, max_spd: int
 ) -> tuple[AttentionEdges, np.ndarray, np.ndarray]:
     """Edges of a symmetric mask, each reading the value of its unordered pair.
 
@@ -205,7 +210,7 @@ def _self_edges(
     value_idx = np.searchsorted(
         (rows * n + cols)[upper], np.minimum(rows, cols) * n + np.maximum(rows, cols)
     )
-    att = AttentionEdges(edges, value_idx, spd_enc.slot_ids(spd[rows, cols]))
+    att = AttentionEdges(edges, value_idx, spd_slot_ids(spd[rows, cols], max_spd))
     return att, rows[upper], cols[upper]
 
 
@@ -319,30 +324,6 @@ class Model:
         reg("head.bond.w", randn((cfg.d_a, cfg.d_a), 0.1))
         reg("head.bond.b", np.zeros((1, 1)))
 
-    def encoders(self) -> EncoderSet:
-        """Numpy views over the live parameter arrays, for feature export."""
-        cfg = self.config
-
-        def bank(name: str, width: float, index) -> GaussianKernelBank:
-            return GaussianKernelBank(
-                kernels=cfg.kernels,
-                width=width,
-                pair_index=index,
-                pair_alpha=self.params[f"{name}.alpha"][:, 0],
-                pair_beta=self.params[f"{name}.beta"][:, 0],
-                w1=self.params[f"{name}.w1"],
-                w2=self.params[f"{name}.w2"],
-            )
-
-        return EncoderSet(
-            atom_bank=bank("enc.atom", cfg.width_dist, self.pair_index_atom),
-            bond_bank=bank("enc.bond", cfg.width_dist, self.pair_index_bond),
-            torsion_bank=bank("enc.tors", cfg.width_tors, self.pair_index_bond),
-            cross_bank=bank("enc.cross", cfg.width_dist, self.pair_index_cross),
-            spd_atom=SpdEncoder(cfg.max_spd, self.params["enc.spd_atom.table"][:, 0]),
-            spd_bond=SpdEncoder(cfg.max_spd, self.params["enc.spd_bond.table"][:, 0]),
-        )
-
     # ------------------------------------------------------------------
     # Featurization and prepared index structures
     # ------------------------------------------------------------------
@@ -366,7 +347,6 @@ class Model:
                 f"feature id {bad} out of range for embedding table with "
                 f"{self.atom_rows} rows (element vocabulary {self.vocab_symbols})"
             )
-        symbols = m.symbols()
         n, mb = feats.n_atoms, feats.n_bonds
 
         types = bond_types(m, feats.bond_nodes)
@@ -380,17 +360,12 @@ class Model:
             self.config.n_length_buckets - 1,
         ) if mb else np.zeros(0, dtype=np.intp)
 
-        spd_enc = SpdEncoder(
-            self.config.max_spd, np.zeros(self.config.max_spd + 2)
-        )  # slot layout only
-        atom_att, ai, aj = _self_edges(feats.masks.atom, feats.spd_atom, spd_enc)
-        bond_att, bi, bj = _self_edges(feats.masks.bond, feats.spd_bond, spd_enc)
-        slot_atom = pair_slot_matrix(symbols, symbols, atom_pair_key, self.pair_index_atom)
-        slot_bond = pair_slot_matrix(types, types, bond_pair_key, self.pair_index_bond)
+        atom_att, ai, aj = _self_edges(feats.masks.atom, feats.spd_atom, self.config.max_spd)
+        bond_att, bi, bj = _self_edges(feats.masks.bond, feats.spd_bond, self.config.max_spd)
+        slot_atom, slot_bond, cross_slots = self._pair_slots(m, types)
 
         # incidence entries sorted by atom give atom_from_bond; by bond, bond_from_atom
         cross_rows, cross_cols = np.nonzero(feats.incidence)
-        cross_slots = pair_slot_matrix(symbols, types, cross_pair_key, self.pair_index_cross)
         by_bond = np.lexsort((cross_rows, cross_cols))
 
         return Prepared(
@@ -418,6 +393,17 @@ class Model:
 
     def prepare_molecule(self, m: Molecule) -> Prepared:
         return self.prepare(self.featurize(m))
+
+    def _pair_slots(
+        self, m: Molecule, types: list[PairKey]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Category-pair slots: atom-atom (N, N), bond-bond (M, M), atom-bond (N, M)."""
+        symbols = m.symbols()
+        return (
+            pair_slot_matrix(symbols, symbols, atom_pair_key, self.pair_index_atom),
+            pair_slot_matrix(types, types, bond_pair_key, self.pair_index_bond),
+            pair_slot_matrix(symbols, types, cross_pair_key, self.pair_index_cross),
+        )
 
     # ------------------------------------------------------------------
     # Per-edge biases on the tape
@@ -592,10 +578,6 @@ class Model:
         logits = ad.add_rowvec(ad.matmul(h_sel, P["head.mask.w"]), P["head.mask.b"])
         return ad.cross_entropy_rows(logits, prep.feature_ids[masked_ids])
 
-    def loss_mask(self, m: Molecule, rng: RandomStream, tape: Tape | None = None) -> Tensor:
-        prep = self.prepare_molecule(m)
-        return self._masked_ce(prep, self.sample_mask_ids(m.n_atoms, rng), tape)
-
     def sample_noisy(self, m: Molecule, rng: RandomStream) -> Molecule:
         sigma = self.config.coord_noise_sigma
         noise = np.array(
@@ -615,17 +597,7 @@ class Model:
         diff = ad.sub(predicted, ad.constant(clean_positions))
         return ad.sum_all(ad.mul(diff, diff))
 
-    def loss_coord(self, m: Molecule, rng: RandomStream, tape: Tape | None = None) -> Tensor:
-        noisy = self.sample_noisy(m, rng)
-        return self._coord_sse(self.prepare_molecule(noisy), m.positions, tape)
-
-    def _bond_bce(
-        self,
-        prep: Prepared,
-        h_atom: Tensor,
-        tape: Tape | None,
-        b_truth: BondSet | None = None,
-    ) -> Tensor | None:
+    def _bond_bce(self, prep: Prepared, h_atom: Tensor, tape: Tape | None) -> Tensor | None:
         """BCE of the bilinear bond head over in-mask candidate pairs."""
         P = TapeParams.for_tape(self.params, tape)
         allowed = prep.feats.masks.atom.copy()
@@ -633,7 +605,7 @@ class Model:
         ci, cj = np.where(np.triu(allowed))
         if ci.size == 0:
             return None
-        truth = set((prep.feats.bonds if b_truth is None else b_truth).keys())
+        truth = set(prep.feats.bonds.keys())
         labels = np.array([(int(a), int(b)) in truth for a, b in zip(ci, cj)], dtype=np.float64)
         hi = ad.gather_rows(h_atom, ci)
         hj = ad.gather_rows(h_atom, cj)
@@ -643,16 +615,6 @@ class Model:
             ad.scale(ad.add(s_ij, s_ji), 0.5), P["head.bond.b"]
         )
         return ad.bce_with_logits_mean(logits, labels)
-
-    def loss_bond(
-        self, m: Molecule, tape: Tape | None = None, *, b_truth: BondSet | None = None
-    ) -> Tensor:
-        prep = self.prepare_molecule(m)
-        fwd = self.forward_features(prep, tape)
-        bce = self._bond_bce(prep, fwd.embeddings.h_atom, tape, b_truth)
-        if bce is None:
-            return ad.constant([[0.0]]) if tape is None else tape.leaf([[0.0]])
-        return bce
 
     # ------------------------------------------------------------------
     # Total loss
@@ -755,3 +717,46 @@ class Model:
                 for rec in (fwd.attention or [])
             ],
         }
+
+
+# ---------------------------------------------------------------------------
+# Feature export
+# ---------------------------------------------------------------------------
+
+
+def assemble_bundle(model: Model, feats: Featurization) -> dict[str, np.ndarray]:
+    """Dense phi_atom (N, N), phi_bond (M, M), phi_a2b (N, M) and phi_b2a (M, N).
+
+    Every pair gets the bias attention would read for it: ``Model._encode_pairs``
+    without a tape, the SPD table row on the self kinds, and the torsion term
+    only under ``use_torsion``, summed in ``_edge_biases``' order.
+    """
+    cfg = model.config
+    P = TapeParams.for_tape(model.params, None)
+    n, mb = feats.n_atoms, feats.n_bonds
+    slot_atom, slot_bond, slot_cross = model._pair_slots(
+        feats.molecule, bond_types(feats.molecule, feats.bond_nodes)
+    )
+
+    def encode(bank: str, x: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        return model._encode_pairs(P, bank, PairChannel(x, slots)).value[:, 0]
+
+    def symmetric(size, i, j, values, spd, table) -> np.ndarray:
+        out = np.empty((size, size))
+        out[i, j] = values
+        out[j, i] = values
+        return out + P[table].value[spd_slot_ids(spd, cfg.max_spd), 0]
+
+    ai, aj = np.triu_indices(n)
+    bi, bj = np.triu_indices(mb)
+    atom = encode("enc.atom", feats.dist_atom[ai, aj], slot_atom[ai, aj])
+    bond = encode("enc.bond", feats.dist_bond[bi, bj], slot_bond[bi, bj])
+    if cfg.use_torsion:
+        bond = bond + encode("enc.tors", feats.cos_bond[bi, bj], slot_bond[bi, bj])
+    cross = encode("enc.cross", feats.dist_cross.ravel(), slot_cross.ravel()).reshape(n, mb)
+    return {
+        "phi_atom": symmetric(n, ai, aj, atom, feats.spd_atom, "enc.spd_atom.table"),
+        "phi_bond": symmetric(mb, bi, bj, bond, feats.spd_bond, "enc.spd_bond.table"),
+        "phi_a2b": cross,
+        "phi_b2a": cross.T,
+    }

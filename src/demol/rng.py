@@ -83,10 +83,5 @@ class RandomStream:
     def state(self) -> tuple[int, int]:
         return (self.seed, self.counter)
 
-    @classmethod
-    def from_state(cls, state: tuple[int, int]) -> "RandomStream":
-        seed, counter = state
-        return cls(seed, counter)
-
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, counter={self.counter})"

@@ -8,7 +8,6 @@ checkpoint resume reproduces the uninterrupted run bit for bit.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import zlib
@@ -23,12 +22,19 @@ from .errors import (
     MissingTargetError,
     NonFiniteError,
     TrainingError,
+    temp_path,
+    write_file,
 )
 from .model import Model, ModelConfig
 from .molecule import Molecule
 from .rng import RandomStream
 
 CHECKPOINT_MAGIC = b"DEMOLCKPT1"
+# JSON type of every header entry besides "version"
+_HEADER_TYPES = {
+    "step": int, "opt_t": int, "model_config": dict, "param_names": list, "param_size": int,
+    "rng": dict, "payload_crc32": int, "payload_len": int,
+}
 
 
 @dataclass(frozen=True)
@@ -166,10 +172,6 @@ def evaluate(dataset: list[Molecule], model: Model) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _temp_path(path: str) -> str:
-    return f"{path}.{os.getpid()}.tmp"
-
-
 def check_checkpoint_path(path: str) -> None:
     """Raise ``FileAccessError`` now if no checkpoint could be written at ``path``.
 
@@ -179,9 +181,9 @@ def check_checkpoint_path(path: str) -> None:
     try:
         if os.path.isdir(path):
             raise IsADirectoryError(f"{path} is a directory")
-        with open(_temp_path(path), "wb"):
+        with open(temp_path(path), "wb"):
             pass
-        os.remove(_temp_path(path))
+        os.remove(temp_path(path))
     except OSError as exc:
         raise FileAccessError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from None
 
@@ -207,20 +209,8 @@ def save_checkpoint(
         "payload_len": len(payload),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = _temp_path(path)
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(len(header_bytes).to_bytes(4, "little"))
-            fh.write(header_bytes)
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise FileAccessError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from None
+    size = len(header_bytes).to_bytes(4, "little")
+    write_file(path, CHECKPOINT_MAGIC + size + header_bytes + payload, "checkpoint")
 
 
 def load_checkpoint(path: str) -> tuple[Model, OptimizerState, RandomStream, int]:
@@ -243,16 +233,25 @@ def load_checkpoint(path: str) -> tuple[Model, OptimizerState, RandomStream, int
         raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
     offset += header_len
 
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path} has a corrupt header: not a JSON object")
     if header.get("version") != 1:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
+    for key, kind in _HEADER_TYPES.items():
+        if not isinstance(header.get(key), kind):
+            raise CheckpointError(f"{path} has a corrupt header: no {kind.__name__} {key!r}")
+    if not all(isinstance(header["rng"].get(key), int) for key in ("seed", "counter")):
+        raise CheckpointError(f"{path} has a corrupt header: no int rng seed and counter")
     payload = blob[offset:]
     if len(payload) != header["payload_len"]:
         raise CheckpointError(f"{path} is truncated (payload)")
     if (zlib.crc32(payload) & 0xFFFFFFFF) != header["payload_crc32"]:
         raise CheckpointError(f"{path} failed the payload checksum")
 
-    config = ModelConfig.from_dict(header["model_config"])
-    model = Model(config, seed=0)  # structure only; values overwritten below
+    try:
+        model = Model(ModelConfig.from_dict(header["model_config"]), seed=0)  # values set below
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path} has a bad model configuration: {exc}") from None
     size = header["param_size"]
     if model.params.size != size or list(model.params.names()) != header["param_names"]:
         raise CheckpointError("checkpoint parameter layout does not match the model")

@@ -13,18 +13,10 @@ import pytest
 from demol import autodiff as ad
 from demol.autodiff import EdgeList, Tape, TapeParams, backward, grad_check
 from demol.bonds import predict_bonds
-from demol.encodings import (
-    GaussianKernelBank,
-    UNREACHABLE,
-    build_pair_index,
-    cosine_matrix,
-    gaussian_basis,
-    spd_matrix,
-    torsion_matrix,
-)
+from demol.encodings import UNREACHABLE, cosine_matrix, spd_matrix
 from demol.fixtures import benzene_skeleton, chain, jittered_chain, star_ch3, water
 from demol.graphs import build_atom_graph, build_bond_graph, build_line_graph
-from demol.model import Model, ModelConfig
+from demol.model import Model, ModelConfig, assemble_bundle
 from demol.molecule import distance, molecule_from_symbols
 from demol.rng import RandomStream
 from demol.training import TrainConfig, evaluate, save_checkpoint, train
@@ -156,18 +148,20 @@ def test_criterion_03_spd_floyd_warshall():
 
 
 def test_criterion_04_gaussian_kernel():
-    index = build_pair_index([("X", "X")])
-    bank = GaussianKernelBank.create(kernels=8, width=4.0, pair_index=index)
-    sigma = bank.sigma
+    mu, sigma = Model(micro_config(kernels=8, width_dist=4.0), seed=0)._grid["enc.atom"]
+
+    def kernel(x):
+        one = ad.constant([[1.0]])
+        return ad.gaussian_kernel_features(one, ad.constant([[0.0]]), [x], mu, sigma).value[0]
 
     for k in (0, 3, 7):
-        values = gaussian_basis(float(bank.mu[k]), ("X", "X"), bank)
+        values = kernel(float(mu[k]))
         peak = -1.0 / (math.sqrt(2 * math.pi) * sigma)
         assert abs(values[k] - peak) <= 1e-12
 
     for t in (0.05, 0.31, 1.7):
-        left = gaussian_basis(float(bank.mu[4] - t), ("X", "X"), bank)[4]
-        right = gaussian_basis(float(bank.mu[4] + t), ("X", "X"), bank)[4]
+        left = kernel(float(mu[4] - t))[4]
+        right = kernel(float(mu[4] + t))[4]
         assert abs(left - right) <= 1e-12
 
     report(4, "Gaussian kernel peak value and symmetry within 1e-12")
@@ -185,17 +179,20 @@ def test_criterion_05_geometry():
     cos = cosine_matrix(bg, bg.bond_nodes)[0, 1]
     assert abs(cos - math.cos(math.radians(104.52))) <= 1e-3
 
-    index = build_pair_index([("X", "X")])
-    bank = GaussianKernelBank.create(kernels=6, width=2.0, pair_index=index, beta_init=0.5)
-    slots = np.full((3, 3), bank.fallback_slot, dtype=np.intp)
+    # the exported phi_bond is the torsion encoding alone once the bond-distance
+    # projection and the SPD table are zero
+    model = Model(micro_config(kernels=6, width_tors=2.0, elements=("H", "C", "N", "O")), seed=5)
+    model.params["enc.bond.w2"][:] = 0.0
+    model.params["enc.spd_bond.table"][:] = 0.0
+
+    def torsion(mol):
+        return assemble_bundle(model, model.featurize(mol))["phi_bond"]
 
     probe = molecule_from_symbols(
         ["O", "C", "N", "H"],
         [[0, 0, 0], [1.4, 0.1, 0], [2.1, 1.2, 0.4], [-0.5, 0.9, -0.3]],
     )
-    pbonds = predict_bonds(probe)
-    pbg = build_bond_graph(probe, build_atom_graph(probe, pbonds), pbonds)
-    base = torsion_matrix(pbg, pbg.bond_nodes, bank, slots[: pbg.n_bonds, : pbg.n_bonds])
+    base = torsion(probe)
 
     rs = np.random.RandomState(5)
     for _ in range(20):
@@ -206,10 +203,8 @@ def test_criterion_05_geometry():
             [a.element.symbol for a in probe.atoms],
             probe.positions @ q.T + rs.uniform(-8, 8, 3),
         )
-        mbonds = predict_bonds(moved)
-        mbg = build_bond_graph(moved, build_atom_graph(moved, mbonds), mbonds)
-        assert mbg.n_bonds == pbg.n_bonds
-        rotated = torsion_matrix(mbg, mbg.bond_nodes, bank, slots[: mbg.n_bonds, : mbg.n_bonds])
+        rotated = torsion(moved)
+        assert rotated.shape == base.shape
         assert np.abs(rotated - base).max() <= 1e-9
 
     report(5, "water angle cosine within 1e-3; torsion rigid-motion within 1e-9")

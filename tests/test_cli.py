@@ -332,3 +332,106 @@ class TestInputBoundaries:
     def test_featurize_out_that_is_a_file_is_data_error(self, capsys, dataset_dir, water_file):
         code, out, err = run(capsys, ["featurize", "--dataset", dataset_dir, "--out", water_file])
         assert code == 2 and out == "" and water_file in err and err.count("\n") == 1
+
+
+MICRO_CONFIG = (
+    "d_a = 8\nd_b = 8\nd_h = 4\nn_heads = 2\nn_layers = 1\nffn_multiplier = 2\n"
+    "kernels = 4\nmax_spd = 5\nn_length_buckets = 4\nelements = H, C, O\n"
+)
+
+
+class TestModelConfigValidation:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "kernels = 0",
+            "width_dist = 0",
+            "width_tors = -1",
+            "n_length_buckets = 0",
+            "max_spd = -1",
+            "length_bucket_width = 0",
+            "mask_cutoff = -1",
+            "bond_alpha = nan",
+            "coord_noise_sigma = nan",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["predict", "featurize"])
+    def test_bad_value_is_usage_error(self, capsys, water_file, tmp_path, command, line):
+        config = tmp_path / "k.cfg"
+        config.write_text(line + "\n")
+        code, out, err = run(capsys, [command, water_file, "--config", str(config)])
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: bad configuration") and err.count("\n") == 1
+
+
+class TestSeed:
+    def test_config_file_seed_sets_predict(self, capsys, water_file, tmp_path):
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(MICRO_CONFIG)
+        seeded = tmp_path / "seeded.cfg"
+        seeded.write_text(MICRO_CONFIG + "seed = 7\n")
+
+        def predict(config, *flags):
+            code, out, _ = run(capsys, ["predict", water_file, "--config", str(config), *flags])
+            assert code == 0
+            return out
+
+        assert predict(seeded) != predict(plain)
+        assert predict(seeded) == predict(plain, "--seed", "7")
+        assert predict(seeded, "--seed", "3") == predict(plain, "--seed", "3")
+
+    def test_config_file_seed_sets_train(self, capsys, dataset_dir, tmp_path):
+        def train_out(seed_line, *flags):
+            config = tmp_path / "t.cfg"
+            config.write_text(MICRO_CONFIG + "steps = 2\nloss_weights = 1, 0, 0, 0\n" + seed_line)
+            argv = ["train", "--dataset", dataset_dir, "--config", str(config), *flags]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            return out
+
+        assert train_out("seed = 2\n") != train_out("seed = 6\n")
+        assert train_out("seed = 2\n", "--seed", "6") == train_out("seed = 6\n")
+
+
+class TestAtomicOutput:
+    @staticmethod
+    def no_space(fd):
+        raise OSError(28, "No space left on device")
+
+    def test_failed_out_write_keeps_old_file(self, capsys, water_file, tmp_path, monkeypatch):
+        out_path = tmp_path / "pred.json"
+        out_path.write_text("old\n")
+        monkeypatch.setattr(os, "fsync", self.no_space)
+        code, out, err = run(capsys, ["bonds", water_file, "--out", str(out_path)])
+        assert code == 2 and out == "" and "No space left" in err and err.count("\n") == 1
+        assert out_path.read_text() == "old\n"
+        assert sorted(os.listdir(tmp_path)) == ["pred.json", "water.xyz"]
+
+    def test_failed_dataset_write_keeps_old_file(self, capsys, dataset_dir, tmp_path, monkeypatch):
+        out_dir = tmp_path / "features"
+        out_dir.mkdir()
+        old = out_dir / "chain3.features.json"
+        old.write_text("old\n")
+        monkeypatch.setattr(os, "fsync", self.no_space)
+        argv = ["featurize", "--dataset", dataset_dir, "--out", str(out_dir), "--config"]
+        config = tmp_path / "micro.cfg"
+        config.write_text(MICRO_CONFIG)
+        code, out, err = run(capsys, argv + [str(config)])
+        assert code == 2 and out == "" and "No space left" in err
+        assert old.read_text() == "old\n"
+        assert os.listdir(out_dir) == ["chain3.features.json"]
+
+    def test_out_to_a_pipe_is_written_in_place(self, capsys, water_file, tmp_path):
+        import stat
+        import threading
+
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+        reader.start()
+        code, out, _ = run(capsys, ["bonds", water_file, "--out", str(pipe)])
+        reader.join(5)
+        assert code == 0 and out == ""
+        assert json.loads(got[0])["n_atoms"] == 3
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)

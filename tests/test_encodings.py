@@ -3,26 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from conftest import micro_config
+from demol import autodiff as ad
 from demol.bonds import predict_bonds
 from demol.encodings import (
-    GaussianKernelBank,
-    SpdEncoder,
     UNREACHABLE,
-    assemble_bundle,
     atom_pair_key,
     build_pair_index,
     cosine_matrix,
-    distance_encoding,
-    gaussian_basis,
-    gelu_np,
-    kernel_values,
-    spd_encoding,
+    pair_slot_matrix,
     spd_matrix,
-    torsion_matrix,
+    spd_slot_ids,
 )
 from demol.fixtures import benzene_skeleton, chain, star_ch3, water
 from demol.graphs import build_atom_graph, build_bond_graph
-from demol.masks import build_masks
+from demol.model import Model, assemble_bundle
 from demol.molecule import molecule_from_symbols
 from demol.pipeline import featurize_molecule
 from demol.rng import RandomStream
@@ -30,111 +25,123 @@ from demol.rng import RandomStream
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def simple_bank(kernels=8, width=2.0, alpha=1.0, beta=0.0, w1=None, w2=None):
-    index = build_pair_index([("X", "X")])
-    bank = GaussianKernelBank.create(kernels, width, index)
-    bank.pair_alpha[:] = alpha
-    bank.pair_beta[:] = beta
-    bank.w1 = np.eye(kernels) if w1 is None else w1
-    bank.w2 = np.ones((kernels, 1)) if w2 is None else w2
-    return bank
+def grid(kernels, width):
+    """Kernel centers and sigma of a model's distance banks."""
+    return Model(micro_config(kernels=kernels, width_dist=width), seed=0)._grid["enc.atom"]
+
+
+def kernel(x, mu, sigma, alpha=1.0, beta=0.0):
+    """ad.gaussian_kernel_features for one scalar: a (K,) vector."""
+    a, b = ad.constant([[alpha]]), ad.constant([[beta]])
+    return ad.gaussian_kernel_features(a, b, np.array([x]), mu, sigma).value[0]
+
+
+def kernel_oracle(u, mu, sigma):
+    return -math.exp(-0.5 * ((u - mu) / sigma) ** 2) / (SQRT_2PI * sigma)
+
+
+def gelu_oracle(x):
+    return x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def export_model(seed=0, elements=("H", "O")):
+    """A small model whose SPD tables are zero, so the export shows the kernel terms."""
+    model = Model(micro_config(n_layers=1, elements=elements), seed=seed)
+    model.params["enc.spd_atom.table"][:] = 0.0
+    model.params["enc.spd_bond.table"][:] = 0.0
+    return model
 
 
 class TestGaussianBasis:
     def test_peak_value_at_center(self):
         # exponent vanishes when alpha*d + beta equals a kernel center
-        bank = simple_bank(kernels=4, width=2.0)
-        d = bank.mu[2]  # alpha=1, beta=0
-        values = gaussian_basis(d, ("X", "X"), bank)
-        assert values[2] == pytest.approx(-1.0 / (SQRT_2PI * bank.sigma), abs=1e-12)
+        mu, sigma = grid(4, 2.0)
+        values = kernel(mu[2], mu, sigma)  # alpha=1, beta=0
+        assert values[2] == pytest.approx(-1.0 / (SQRT_2PI * sigma), abs=1e-12)
 
     def test_symmetry_about_center(self):
-        bank = simple_bank(kernels=4, width=2.0)
-        mu_k = bank.mu[1]
+        mu, sigma = grid(4, 2.0)
         t = 0.173
-        left = gaussian_basis(mu_k - t, ("X", "X"), bank)[1]
-        right = gaussian_basis(mu_k + t, ("X", "X"), bank)[1]
+        left = kernel(mu[1] - t, mu, sigma)[1]
+        right = kernel(mu[1] + t, mu, sigma)[1]
         assert left == pytest.approx(right, abs=1e-12)
 
     def test_worked_value(self):
         # oracle: direct high-precision evaluation at d=1, mu=0.5, sigma=0.25
-        bank = simple_bank(kernels=4, width=1.0)  # mu = [0, .25, .5, .75], sigma 0.25
-        values = gaussian_basis(1.0, ("X", "X"), bank)
+        mu, sigma = grid(4, 1.0)  # mu = [0, .25, .5, .75], sigma 0.25
+        values = kernel(1.0, mu, sigma)
         # kernel with mu = 0.5: z = (1 - 0.5) / 0.25 = 2
         assert values[2] == pytest.approx(-0.21596386605275225, abs=1e-12)
 
     def test_mu_translation_covariance(self):
         # shifting d by delta (alpha = 1) equals shifting every center by -delta
-        kernels, width = 6, 3.0
-        bank = simple_bank(kernels, width)
+        mu, sigma = grid(6, 3.0)
         delta = 0.37
-        slots = np.asarray(0, dtype=np.intp)
-        base = kernel_values(bank, np.asarray(1.1 + delta), slots)
-        shifted_mu = bank.mu - delta
-        z = (1.1 - shifted_mu) / bank.sigma
-        manual = -np.exp(-0.5 * z * z) / (SQRT_2PI * bank.sigma)
+        base = kernel(1.1 + delta, mu, sigma)
+        z = (1.1 - (mu - delta)) / sigma
+        manual = -np.exp(-0.5 * z * z) / (SQRT_2PI * sigma)
         assert np.abs(base - manual).max() < 1e-12
 
     def test_fallback_slot_for_unknown_pair(self):
-        bank = simple_bank()
-        bank.pair_alpha[bank.fallback_slot] = 2.0
-        v_known = gaussian_basis(0.8, ("X", "X"), bank)
-        v_unknown = gaussian_basis(0.4, ("Y", "Z"), bank)  # alpha 2 doubles input
-        assert np.abs(v_known - v_unknown).max() < 1e-12
+        # unknown pairs read the trailing slot of the per-pair (alpha, beta) table
+        index = build_pair_index([("X", "X")])
+        slots = pair_slot_matrix(["X", "Y"], ["X", "Z"], atom_pair_key, index)
+        assert slots.tolist() == [[0, 1], [1, 1]]
+        mu, sigma = grid(8, 2.0)
+        alpha_table = ad.constant([[1.0], [2.0]])  # alpha 2 doubles the input
+        alpha = ad.gather_rows(alpha_table, [slots[0, 0], slots[1, 1]])
+        beta = ad.constant(np.zeros((2, 1)))
+        values = ad.gaussian_kernel_features(alpha, beta, np.array([0.8, 0.4]), mu, sigma).value
+        assert np.abs(values[0] - values[1]).max() < 1e-12
 
 
 class TestDistanceEncoding:
     def test_identity_projection_diagonal(self):
         # with W1 = I and W2 = ones, entry (i, i) is sum_k GELU(phi_k(0))
-        bank = simple_bank(kernels=8, width=2.0)
-        pos = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-        slots = np.zeros((2, 2), dtype=np.intp)
-        enc = distance_encoding(pos, pos, slots, bank)
-        phi0 = kernel_values(bank, np.asarray(0.0), np.asarray(0, dtype=np.intp))
-        assert enc[0, 0] == pytest.approx(float(gelu_np(phi0).sum()), abs=1e-12)
-        assert enc[0, 0] == enc[1, 1]
+        model = export_model(elements=("C",))
+        model.params["enc.atom.w1"][:] = np.eye(4)
+        model.params["enc.atom.w2"][:] = 1.0
+        mol = molecule_from_symbols(["C", "C"], [[0.0, 0, 0], [1.0, 0, 0]])
+        phi = assemble_bundle(model, featurize_molecule(mol))["phi_atom"]
+        mu, sigma = model._grid["enc.atom"]
+        expected = sum(gelu_oracle(kernel_oracle(0.0, m, sigma)) for m in mu)
+        assert phi[0, 0] == pytest.approx(expected, abs=1e-12)
+        assert phi[0, 0] == phi[1, 1]
 
     def test_zero_projection_gives_zero(self):
-        bank = simple_bank(w2=np.zeros((8, 1)))
+        model = export_model(seed=1)
+        model.params["enc.atom.w2"][:] = 0.0
         pos = np.random.RandomState(0).uniform(-2, 2, (3, 3))
-        enc = distance_encoding(pos, pos, np.zeros((3, 3), dtype=np.intp), bank)
-        assert (enc == 0).all()
+        mol = molecule_from_symbols(["O", "H", "H"], pos)
+        assert (assemble_bundle(model, featurize_molecule(mol))["phi_atom"] == 0).all()
 
     def test_matches_straight_line_reimplementation(self):
         # oracle: an independent element-by-element evaluation of the pipeline
+        model = export_model(elements=("C",))
         rng = RandomStream(99)
-        bank = simple_bank(
-            kernels=5,
-            width=4.0,
-            w1=np.array([[rng.normal(0.5) for _ in range(5)] for _ in range(5)]),
-            w2=np.array([[rng.normal(0.5)] for _ in range(5)]),
-        )
-        bank.pair_alpha[0] = 1.3
-        bank.pair_beta[0] = -0.2
+        w1 = np.array([[rng.normal(0.5) for _ in range(4)] for _ in range(4)])
+        w2 = np.array([[rng.normal(0.5)] for _ in range(4)])
+        model.params["enc.atom.w1"][:] = w1
+        model.params["enc.atom.w2"][:] = w2
+        model.params["enc.atom.alpha"][:] = 1.3
+        model.params["enc.atom.beta"][:] = -0.2
         rs = np.random.RandomState(1)
         pos = rs.uniform(-2, 2, (3, 3))
-        enc = distance_encoding(pos, pos, np.zeros((3, 3), dtype=np.intp), bank)
+        mol = molecule_from_symbols(["C", "C", "C"], pos)
+        enc = assemble_bundle(model, featurize_molecule(mol))["phi_atom"]
+        mu, sigma = model._grid["enc.atom"]
         for i in range(3):
             for j in range(3):
                 d = math.sqrt(sum((pos[i, a] - pos[j, a]) ** 2 for a in range(3)))
-                u = 1.3 * d - 0.2
-                phi = [
-                    -math.exp(-0.5 * ((u - mu) / bank.sigma) ** 2) / (SQRT_2PI * bank.sigma)
-                    for mu in bank.mu
-                ]
-                pre = [sum(phi[k] * bank.w1[k, c] for k in range(5)) for c in range(5)]
-                act = [p * 0.5 * (1.0 + math.erf(p / math.sqrt(2))) for p in pre]
-                expected = sum(act[c] * bank.w2[c, 0] for c in range(5))
+                phi = [kernel_oracle(1.3 * d - 0.2, m, sigma) for m in mu]
+                pre = [sum(phi[k] * w1[k, c] for k in range(4)) for c in range(4)]
+                expected = sum(gelu_oracle(pre[c]) * w2[c, 0] for c in range(4))
                 assert enc[i, j] == pytest.approx(expected, abs=1e-9)
 
     def test_symmetric_for_symmetric_slots(self):
-        mol = water()
-        feats = featurize_molecule(mol)
-        bank = simple_bank()
-        slots = np.zeros((3, 3), dtype=np.intp)
-        enc = distance_encoding(mol.positions, mol.positions, slots, bank)
+        model = Model(micro_config(), seed=4)
+        enc = assemble_bundle(model, featurize_molecule(water()))["phi_atom"]
         assert np.abs(enc - enc.T).max() < 1e-12
-        del feats
 
 
 class TestSpd:
@@ -167,26 +174,29 @@ class TestSpd:
             assert (spd_matrix(adjacency) == expected).all()
 
     def test_spd_encoding_constant(self):
-        enc = SpdEncoder(5, np.zeros(7))
-        enc.table[0] = 0.5
-        out = spd_encoding(np.zeros((3, 3), dtype=int), enc)
+        table = np.zeros(7)
+        table[0] = 0.5
+        out = table[spd_slot_ids(np.zeros((3, 3), dtype=int), 5)]
         assert (out == 0.5).all()
 
     def test_spd_encoding_clips(self):
-        enc = SpdEncoder(20, np.arange(22, dtype=np.float64))
-        assert spd_encoding(np.array([[25]]), enc)[0, 0] == 20.0
+        table = np.arange(22, dtype=np.float64)
+        assert table[spd_slot_ids(np.array([[25]]), 20)][0, 0] == 20.0
 
     def test_spd_encoding_hand_lookup(self):
         table = np.array([10.0, 11.0, 12.0, 99.0])  # max_spd = 2, unreachable slot last
-        enc = SpdEncoder(2, table)
         spd = np.array([[0, 1, UNREACHABLE], [1, 0, 2], [UNREACHABLE, 2, 0]])
-        out = spd_encoding(spd, enc)
+        out = table[spd_slot_ids(spd, 2)]
         expected = np.array([[10.0, 11.0, 99.0], [11.0, 10.0, 12.0], [99.0, 12.0, 10.0]])
         assert (out == expected).all()
 
     def test_table_length_validated(self):
+        # each SPD table has max_spd + 2 rows: the clipped hop counts and "unreachable"
+        model = Model(micro_config(max_spd=5), seed=0)
+        assert model.params["enc.spd_atom.table"].shape == (7, 1)
+        assert model.params["enc.spd_bond.table"].shape == (7, 1)
         with pytest.raises(ValueError):
-            SpdEncoder(5, np.zeros(6))
+            micro_config(max_spd=-1)
 
 
 class TestTorsion:
@@ -247,128 +257,89 @@ class TestTorsion:
             assert np.abs(cosine_matrix(bg2, nodes2) - base).max() < 1e-9
 
     def test_torsion_matrix_through_kernel_pipeline(self):
-        bg, nodes = self.build(water())
-        bank = simple_bank(kernels=4, width=2.0)
-        out = torsion_matrix(bg, nodes, bank)
-        cos = cosine_matrix(bg, nodes)
-        phi = kernel_values(bank, cos, np.full(cos.shape, bank.fallback_slot, dtype=np.intp))
-        expected = (gelu_np(phi @ bank.w1) @ bank.w2)[..., 0]
-        assert np.abs(out - expected).max() < 1e-12
+        # with the bond-distance projection and the SPD table zero, phi_bond is
+        # the torsion encoding of the cosines alone
+        model = export_model(seed=5)
+        model.params["enc.bond.w2"][:] = 0.0
+        feats = featurize_molecule(water())
+        out = assemble_bundle(model, feats)["phi_bond"]
+        mu, sigma = model._grid["enc.tors"]
+        p = model.params
+        slot = model.pair_index_bond[(("H", "O"), ("H", "O"))]
+        alpha, beta = p["enc.tors.alpha"][slot, 0], p["enc.tors.beta"][slot, 0]
+        for i in range(2):
+            for j in range(2):
+                phi = [kernel_oracle(alpha * feats.cos_bond[i, j] + beta, m, sigma) for m in mu]
+                pre = [sum(phi[k] * p["enc.tors.w1"][k, c] for k in range(4)) for c in range(4)]
+                expected = sum(gelu_oracle(pre[c]) * p["enc.tors.w2"][c, 0] for c in range(4))
+                assert abs(out[i, j] - expected) < 1e-12
         assert np.abs(out - out.T).max() < 1e-12
 
 
 class TestBundle:
     def test_zero_projections_reduce_to_spd(self):
         mol = water()
-        from demol.model import Model, ModelConfig
-
-        model = Model(
-            ModelConfig(
-                d_a=8, d_b=8, d_h=4, n_heads=2, n_layers=1, ffn_multiplier=2,
-                kernels=4, max_spd=5, n_length_buckets=4, elements=("H", "O"),
-            ),
-            seed=0,
-        )
+        model = Model(micro_config(n_layers=1, elements=("H", "O")), seed=0)
         for bank in ("enc.atom", "enc.bond", "enc.tors", "enc.cross"):
             model.params[f"{bank}.w2"][:] = 0.0
         feats = featurize_molecule(mol)
-        enc = model.encoders()
-        bundle = assemble_bundle(
-            mol, feats.atom_graph, feats.bond_graph, feats.bond_nodes, enc, feats.masks
-        )
-        spd_expected = spd_encoding(feats.spd_atom, enc.spd_atom)
-        assert np.abs(bundle.phi_atom - spd_expected).max() == 0.0
-        assert (bundle.phi_atom_to_bond == 0).all()
+        bundle = assemble_bundle(model, feats)
+        table = model.params["enc.spd_atom.table"][:, 0]
+        spd_expected = table[spd_slot_ids(feats.spd_atom, model.config.max_spd)]
+        assert np.abs(bundle["phi_atom"] - spd_expected).max() == 0.0
+        assert (bundle["phi_a2b"] == 0).all()
 
     def test_single_atom_shapes(self):
         mol = molecule_from_symbols(["C"], [[0, 0, 0]])
-        from demol.model import Model, ModelConfig
-
-        model = Model(
-            ModelConfig(
-                d_a=8, d_b=8, d_h=4, n_heads=2, n_layers=1, ffn_multiplier=2,
-                kernels=4, max_spd=5, n_length_buckets=4, elements=("H", "C"),
-            ),
-            seed=0,
-        )
-        feats = featurize_molecule(mol)
-        bundle = assemble_bundle(
-            mol, feats.atom_graph, feats.bond_graph, feats.bond_nodes,
-            model.encoders(), feats.masks,
-        )
-        assert bundle.phi_atom.shape == (1, 1)
-        assert bundle.phi_bond.shape == (0, 0)
-        assert bundle.phi_atom_to_bond.shape == (1, 0)
+        model = Model(micro_config(n_layers=1, elements=("H", "C")), seed=0)
+        bundle = assemble_bundle(model, featurize_molecule(mol))
+        assert bundle["phi_atom"].shape == (1, 1)
+        assert bundle["phi_bond"].shape == (0, 0)
+        assert bundle["phi_a2b"].shape == (1, 0)
+        assert bundle["phi_b2a"].shape == (0, 1)
 
     def test_water_shapes_symmetry_finite(self):
-        mol = water()
-        from demol.model import Model, ModelConfig
-
-        model = Model(
-            ModelConfig(
-                d_a=8, d_b=8, d_h=4, n_heads=2, n_layers=1, ffn_multiplier=2,
-                kernels=4, max_spd=5, n_length_buckets=4, elements=("H", "O"),
-            ),
-            seed=3,
-        )
-        feats = featurize_molecule(mol)
-        bundle = assemble_bundle(
-            mol, feats.atom_graph, feats.bond_graph, feats.bond_nodes,
-            model.encoders(), feats.masks,
-        )
-        assert bundle.phi_atom.shape == (3, 3)
-        assert bundle.phi_bond.shape == (2, 2)
-        assert bundle.phi_atom_to_bond.shape == (3, 2)
-        assert bundle.phi_bond_to_atom.shape == (2, 3)
-        assert np.abs(bundle.phi_atom - bundle.phi_atom.T).max() < 1e-9
-        assert np.abs(bundle.phi_bond - bundle.phi_bond.T).max() < 1e-9
-        assert (bundle.phi_bond_to_atom == bundle.phi_atom_to_bond.T).all()
-        for arr in (bundle.phi_atom, bundle.phi_bond, bundle.phi_atom_to_bond):
+        model = Model(micro_config(n_layers=1, elements=("H", "O")), seed=3)
+        bundle = assemble_bundle(model, featurize_molecule(water()))
+        assert bundle["phi_atom"].shape == (3, 3)
+        assert bundle["phi_bond"].shape == (2, 2)
+        assert bundle["phi_a2b"].shape == (3, 2)
+        assert bundle["phi_b2a"].shape == (2, 3)
+        assert np.abs(bundle["phi_atom"] - bundle["phi_atom"].T).max() < 1e-9
+        assert np.abs(bundle["phi_bond"] - bundle["phi_bond"].T).max() < 1e-9
+        assert (bundle["phi_b2a"] == bundle["phi_a2b"].T).all()
+        for arr in bundle.values():
             assert np.isfinite(arr).all()
 
     def test_bundle_permutation_equivariance(self):
-        from demol.model import Model, ModelConfig
-
-        model = Model(
-            ModelConfig(
-                d_a=8, d_b=8, d_h=4, n_heads=2, n_layers=1, ffn_multiplier=2,
-                kernels=4, max_spd=5, n_length_buckets=4, elements=("H", "C", "N", "O"),
-            ),
-            seed=5,
-        )
+        model = Model(micro_config(n_layers=1), seed=5)
         rs = np.random.RandomState(17)
         mol = molecule_from_symbols(
             ["C", "H", "O", "H", "N"],
             [[0, 0, 0], [1.05, 0, 0], [-1.35, 0.2, 0], [-1.8, 1.0, 0.3], [0.4, 1.3, 0.2]],
         )
         feats = featurize_molecule(mol)
-        bundle = assemble_bundle(
-            mol, feats.atom_graph, feats.bond_graph, feats.bond_nodes,
-            model.encoders(), feats.masks,
-        )
+        bundle = assemble_bundle(model, feats)
         perm = rs.permutation(mol.n_atoms)
         inverse = np.argsort(perm)
         pmol = molecule_from_symbols(
             [mol.atoms[p].element.symbol for p in perm], mol.positions[perm]
         )
         pfeats = featurize_molecule(pmol)
-        pbundle = assemble_bundle(
-            pmol, pfeats.atom_graph, pfeats.bond_graph, pfeats.bond_nodes,
-            model.encoders(), pfeats.masks,
-        )
+        pbundle = assemble_bundle(model, pfeats)
         relabeled = [
             tuple(sorted((int(inverse[i]), int(inverse[j])))) for i, j in feats.bonds.keys()
         ]
         order = {key: idx for idx, key in enumerate(pfeats.bonds.keys())}
         bond_map = np.array([order[key] for key in relabeled], dtype=np.intp)
         assert np.abs(
-            pbundle.phi_atom[np.ix_(inverse, inverse)] - bundle.phi_atom
+            pbundle["phi_atom"][np.ix_(inverse, inverse)] - bundle["phi_atom"]
         ).max() < 1e-9
         assert np.abs(
-            pbundle.phi_bond[np.ix_(bond_map, bond_map)] - bundle.phi_bond
+            pbundle["phi_bond"][np.ix_(bond_map, bond_map)] - bundle["phi_bond"]
         ).max() < 1e-9
         assert np.abs(
-            pbundle.phi_atom_to_bond[np.ix_(inverse, bond_map)] - bundle.phi_atom_to_bond
+            pbundle["phi_a2b"][np.ix_(inverse, bond_map)] - bundle["phi_a2b"]
         ).max() < 1e-9
 
 

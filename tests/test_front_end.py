@@ -15,13 +15,10 @@ from demol.bonds import Bond, BondSet, predict_bonds
 from demol.elements import default_radii_table
 from demol.encodings import (
     atom_pair_key,
-    atom_pair_slot_matrix,
     bond_pair_key,
-    bond_pair_slot_matrix,
     bond_types,
     cosine_matrix,
     cross_pair_key,
-    cross_pair_slot_matrix,
     spd_matrix,
 )
 from demol.errors import GeometryError
@@ -102,11 +99,11 @@ def loop_cosines(bg, nodes):
     return out
 
 
-def loop_slots(row_keys, col_keys, pair_key, bank):
+def loop_slots(row_keys, col_keys, pair_key, pair_index):
     slots = np.empty((len(row_keys), len(col_keys)), dtype=np.intp)
     for i, a in enumerate(row_keys):
         for j, b in enumerate(col_keys):
-            slots[i, j] = bank.slot(pair_key(a, b))
+            slots[i, j] = pair_index.get(pair_key(a, b), len(pair_index))
     return slots
 
 
@@ -212,21 +209,12 @@ def test_cosines_and_pair_slots_match_loops(mol):
     nodes = feats.bond_nodes
     assert_same(cosine_matrix(feats.bond_graph, nodes), loop_cosines(feats.bond_graph, nodes))
 
-    enc = MODEL.encoders()
     symbols = mol.symbols()
     types = bond_types(mol, nodes)
-    assert_same(
-        atom_pair_slot_matrix(mol, enc.atom_bank),
-        loop_slots(symbols, symbols, atom_pair_key, enc.atom_bank),
-    )
-    assert_same(
-        bond_pair_slot_matrix(types, enc.bond_bank),
-        loop_slots(types, types, bond_pair_key, enc.bond_bank),
-    )
-    assert_same(
-        cross_pair_slot_matrix(mol, types, enc.cross_bank),
-        loop_slots(symbols, types, cross_pair_key, enc.cross_bank),
-    )
+    slot_atom, slot_bond, slot_cross = MODEL._pair_slots(mol, types)
+    assert_same(slot_atom, loop_slots(symbols, symbols, atom_pair_key, MODEL.pair_index_atom))
+    assert_same(slot_bond, loop_slots(types, types, bond_pair_key, MODEL.pair_index_bond))
+    assert_same(slot_cross, loop_slots(symbols, types, cross_pair_key, MODEL.pair_index_cross))
 
 
 def test_featurization_computes_three_distance_matrices(monkeypatch):

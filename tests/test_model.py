@@ -9,7 +9,7 @@ from demol import autodiff as ad
 from demol.autodiff import Tape, TapeParams, backward
 from demol.errors import MissingTargetError, ShapeError
 from demol.fixtures import benzene_skeleton, water
-from demol.model import Model, ModelConfig
+from demol.model import Model, ModelConfig, assemble_bundle
 from demol.molecule import Molecule, molecule_from_symbols
 from demol.rng import RandomStream
 
@@ -299,16 +299,16 @@ class TestLosses:
             micro_model.loss_prop(ad.constant([[0.0]]), None)
 
     def test_loss_mask_uniform_is_log_vocab(self):
-        model = Model(micro_config(), seed=18)
+        model = Model(micro_config(loss_weights=(0, 1, 0, 0)), seed=18)
         model.params["head.mask.w"][:] = 0.0
         model.params["head.mask.b"][:] = 0.0
         mol = water()
         k = max(1, round(model.config.mask_ratio * 3))
-        loss = model.loss_mask(mol, RandomStream(0))
-        assert loss.item() == pytest.approx(k * math.log(model.atom_rows), abs=1e-12)
+        _, parts = model.total_loss(mol, RandomStream(0))
+        assert parts["mask"] == pytest.approx(k * math.log(model.atom_rows), abs=1e-12)
 
     def test_loss_mask_confident_goes_to_zero(self):
-        model = Model(micro_config(), seed=19)
+        model = Model(micro_config(loss_weights=(0, 1, 0, 0)), seed=19)
         # make the head read the mask token row and output the true class
         model.params["head.mask.w"][:] = 0.0
         model.params["head.mask.b"][:] = -50.0
@@ -317,44 +317,44 @@ class TestLosses:
         ids = model.sample_mask_ids(2, RandomStream(1))
         true_class = model.prepare_molecule(mol).feature_ids[ids[0]]
         model.params["head.mask.b"][0, true_class] = 50.0
-        loss = model.loss_mask(mol, rng)
-        assert loss.item() == pytest.approx(0.0, abs=1e-12)
+        _, parts = model.total_loss(mol, rng)
+        assert parts["mask"] == pytest.approx(0.0, abs=1e-12)
 
     def test_loss_mask_deterministic(self):
-        model = Model(micro_config(), seed=20)
-        a = model.loss_mask(water(), RandomStream(7)).item()
-        b = model.loss_mask(water(), RandomStream(7)).item()
+        model = Model(micro_config(loss_weights=(0, 1, 0, 0)), seed=20)
+        a = model.total_loss(water(), RandomStream(7))[1]["mask"]
+        b = model.total_loss(water(), RandomStream(7))[1]["mask"]
         assert a == b
 
     def test_loss_coord_zero_noise_zero_head(self):
-        model = Model(micro_config(coord_noise_sigma=0.0), seed=21)
+        model = Model(micro_config(coord_noise_sigma=0.0, loss_weights=(0, 0, 1, 0)), seed=21)
         model.params["head.coord.w"][:] = 0.0
         model.params["head.coord.b"][:] = 0.0
-        assert model.loss_coord(water(), RandomStream(0)).item() == 0.0
+        assert model.total_loss(water(), RandomStream(0))[1]["coord"] == 0.0
 
     def test_loss_coord_unit_offset_closed_form(self):
-        model = Model(micro_config(coord_noise_sigma=0.0), seed=22)
+        model = Model(micro_config(coord_noise_sigma=0.0, loss_weights=(0, 0, 1, 0)), seed=22)
         model.params["head.coord.w"][:] = 0.0
         model.params["head.coord.b"][:] = 0.0
         model.params["head.coord.b"][0, 0] = 1.0  # every atom displaced by (1, 0, 0)
-        loss = model.loss_coord(water(), RandomStream(0))
-        assert loss.item() == pytest.approx(3.0, abs=1e-12)
+        _, parts = model.total_loss(water(), RandomStream(0))
+        assert parts["coord"] == pytest.approx(3.0, abs=1e-12)
 
     def test_loss_coord_deterministic(self):
-        model = Model(micro_config(), seed=23)
-        a = model.loss_coord(water(), RandomStream(9)).item()
-        b = model.loss_coord(water(), RandomStream(9)).item()
+        model = Model(micro_config(loss_weights=(0, 0, 1, 0)), seed=23)
+        a = model.total_loss(water(), RandomStream(9))[1]["coord"]
+        b = model.total_loss(water(), RandomStream(9))[1]["coord"]
         assert a == b
 
     def test_loss_bond_half_probability(self):
-        model = Model(micro_config(), seed=24)
+        model = Model(micro_config(loss_weights=(0, 0, 0, 1)), seed=24)
         model.params["head.bond.w"][:] = 0.0
         model.params["head.bond.b"][:] = 0.0
-        assert model.loss_bond(water()).item() == pytest.approx(math.log(2), abs=1e-12)
+        assert model.total_loss(water())[1]["bond"] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_loss_bond_matches_straight_line_bce(self):
         # oracle: independent sigmoid/log evaluation over the candidate pairs
-        model = Model(micro_config(), seed=25)
+        model = Model(micro_config(loss_weights=(0, 0, 0, 1)), seed=25)
         mol = water()
         prep = model.prepare_molecule(mol)
         fwd = model.forward_features(prep)
@@ -373,16 +373,7 @@ class TestLosses:
                 y = 1.0 if (i, j) in truth else 0.0
                 total += -(y * math.log(p) + (1 - y) * math.log(1 - p))
                 count += 1
-        assert model.loss_bond(mol).item() == pytest.approx(total / count, abs=1e-12)
-
-    def test_loss_bond_respects_custom_truth(self):
-        from demol.bonds import BondSet
-
-        model = Model(micro_config(), seed=26)
-        mol = water()
-        default = model.loss_bond(mol).item()
-        flipped = model.loss_bond(mol, b_truth=BondSet(())).item()
-        assert default != flipped
+        assert model.total_loss(mol)[1]["bond"] == pytest.approx(total / count, abs=1e-12)
 
     def test_total_loss_prop_only(self):
         model = Model(micro_config(loss_weights=(1, 0, 0, 0)), seed=27)
@@ -404,14 +395,14 @@ class TestLosses:
         model = Model(micro_config(loss_weights=(1, 1, 1, 1)), seed=29)
         mol = water(target=0.4)
         total, _ = model.total_loss(mol, RandomStream(55))
-        # individually computed terms share one stream in the same draw order
+        # one-term losses share one stream: the mask ids are drawn before the
+        # coordinate noise, as in the total
         rng = RandomStream(55)
-        fwd = model.forward(mol)
         parts = [
-            model.loss_prop(fwd.prediction, mol.target).item(),
-            model.loss_mask(mol, rng).item(),
-            model.loss_coord(mol, rng).item(),
-            model.loss_bond(mol).item(),
+            Model(micro_config(loss_weights=weights), params=model.params)
+            .total_loss(mol, rng)[0]
+            .item()
+            for weights in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         ]
         assert total.item() == pytest.approx(sum(parts), abs=1e-12)
 
@@ -475,30 +466,24 @@ class TestEquivariance:
 
 
 class TestBiasPathsAgree:
-    def test_tape_biases_match_numpy_bundle(self):
-        # the model evaluates encodings on the tape; the export path uses the
-        # plain-numpy pipeline; both must produce the same numbers wherever
-        # attention can read them (masked entries are never read)
-        from demol.encodings import assemble_bundle
-
-        model = Model(micro_config(), seed=40)
+    @pytest.mark.parametrize("use_torsion", [True, False])
+    def test_export_matches_edge_biases(self, use_torsion):
+        # featurize exports, for every pair, the bias attention reads for it:
+        # wherever attention has an edge, the export equals _edge_biases
+        model = Model(micro_config(use_torsion=use_torsion), seed=40)
         rs = np.random.RandomState(3)
-        for _ in range(5):
-            mol = random_molecule(rs)
+        for mol in [benzene_skeleton()] + [random_molecule(rs) for _ in range(5)]:
             feats = model.featurize(mol)
             prep = model.prepare(feats)
             P = TapeParams.for_tape(model.params, None)
             biases = model._edge_biases(prep, P)
-            bundle = assemble_bundle(
-                mol, feats.atom_graph, feats.bond_graph, feats.bond_nodes,
-                model.encoders(), feats.masks,
-            )
+            bundle = assemble_bundle(model, feats)
             # every edge is an allowed entry, and every allowed entry an edge
             for kind, dense, allowed in (
-                ("atom_self", bundle.phi_atom, feats.masks.atom),
-                ("bond_self", bundle.phi_bond, feats.masks.bond),
-                ("atom_from_bond", bundle.phi_atom_to_bond, feats.incidence),
-                ("bond_from_atom", bundle.phi_bond_to_atom, feats.incidence.T),
+                ("atom_self", bundle["phi_atom"], feats.masks.atom),
+                ("bond_self", bundle["phi_bond"], feats.masks.bond),
+                ("atom_from_bond", bundle["phi_a2b"], feats.incidence),
+                ("bond_from_atom", bundle["phi_b2a"], feats.incidence.T),
             ):
                 edges = prep.attention[kind].edges
                 assert len(edges) == int(allowed.sum())

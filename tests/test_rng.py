@@ -17,7 +17,7 @@ def test_counter_addressability():
     a = RandomStream(42)
     for _ in range(10):
         a.next_u64()
-    b = RandomStream.from_state(a.state())
+    b = RandomStream(*a.state())
     assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -10,6 +11,7 @@ from demol.fixtures import chain, water
 from demol.model import Model
 from demol.rng import RandomStream
 from demol.training import (
+    CHECKPOINT_MAGIC,
     OptimizerState,
     TrainConfig,
     adamw_update,
@@ -266,6 +268,38 @@ class TestCheckpoints:
             with pytest.raises(FileAccessError):
                 save_checkpoint(path, result.model, result.optimizer, result.rng, 1)
         assert sorted(os.listdir(tmp_path)) == ["c.cfg"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: {k: v for k, v in h.items() if k != "payload_len"},
+            lambda h: [h],
+            lambda h: {**h, "model_config": {**h["model_config"], "d_z": 4}},
+            lambda h: {**h, "model_config": {**h["model_config"], "n_heads": 3}},
+            lambda h: {**h, "rng": None},
+        ],
+        ids=["no_payload_len", "list_header", "unknown_config_key", "heads_do_not_divide",
+             "null_rng"],
+    )
+    def test_bad_header_is_checkpoint_error(self, tmp_path, capsys, edit):
+        from demol.cli import main
+
+        result = train(tiny_dataset(), prop_only_config(), TrainConfig(seed=9, steps=1))
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, result.model, result.optimizer, result.rng, result.step)
+        blob = open(path, "rb").read()
+        start = len(CHECKPOINT_MAGIC) + 4
+        end = start + int.from_bytes(blob[start - 4 : start], "little")
+        header = json.dumps(edit(json.loads(blob[start:end]))).encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC + len(header).to_bytes(4, "little") + header + blob[end:])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        mol = tmp_path / "water.xyz"
+        mol.write_text("3\nwater\nO 0 0 0\nH 0.9572 0 0\nH -0.24 0.927 0\n")
+        code = main(["predict", str(mol), "--ckpt", path])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
     def test_config_mismatch_on_resume(self, tmp_path):
         dataset = tiny_dataset()
