@@ -70,12 +70,13 @@ def write_file(path: str, data: bytes, what: str = "") -> None:
     """Write a temp file next to ``path``, fsync it, then rename it over ``path``.
 
     A failed write raises ``FileAccessError`` and leaves any old file intact and
-    no temp file behind; ``what`` names the file in the error message. A device
-    or pipe such as ``/dev/stdout`` cannot be renamed over and is written in place.
+    no temp file behind; ``what`` names the file in the error message. A symlink
+    (``/dev/stdout`` is one), device or pipe is written in place: renaming over it
+    would replace the link or the device node, not what it points to.
     """
     tmp = temp_path(path)
     try:
-        if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
+        if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
             with open(path, "wb") as fh:
                 fh.write(data)
             return

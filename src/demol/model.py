@@ -13,7 +13,7 @@ export the biases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .autodiff import EdgeList, ModelParams, Tape, TapeParams, Tensor
 from .bonds import BondSet
 from .elements import ATOMIC_NUMBERS
 from .encodings import (
-    PairKey,
     atom_pair_key,
     bond_pair_key,
     bond_type_key,
@@ -33,7 +32,7 @@ from .encodings import (
     spd_slot_ids,
 )
 from .errors import MissingTargetError, ShapeError, SizeLimitError
-from .masks import DEFAULT_CUTOFF
+from .masks import DEFAULT_CUTOFF, all_true_masks
 from .molecule import Molecule
 from .pipeline import Featurization, featurize_molecule
 from .rng import RandomStream
@@ -339,14 +338,18 @@ class Model:
         )
 
     def prepare(self, feats: Featurization) -> Prepared:
-        m = feats.molecule
-        ids = m.feature_ids()
+        ids = feats.molecule.feature_ids()
         if ids.size and (ids.min() < 0 or ids.max() >= self.atom_rows):
             bad = int(ids.max() if ids.max() >= self.atom_rows else ids.min())
             raise ShapeError(
                 f"feature id {bad} out of range for embedding table with "
                 f"{self.atom_rows} rows (element vocabulary {self.vocab_symbols})"
             )
+        return self._prepare(feats, ids)
+
+    def _prepare(self, feats: Featurization, ids: np.ndarray) -> Prepared:
+        """``prepare`` without the embedding-table check on ``ids``."""
+        m = feats.molecule
         n, mb = feats.n_atoms, feats.n_bonds
 
         types = bond_types(m, feats.bond_nodes)
@@ -362,7 +365,10 @@ class Model:
 
         atom_att, ai, aj = _self_edges(feats.masks.atom, feats.spd_atom, self.config.max_spd)
         bond_att, bi, bj = _self_edges(feats.masks.bond, feats.spd_bond, self.config.max_spd)
-        slot_atom, slot_bond, cross_slots = self._pair_slots(m, types)
+        symbols = m.symbols()
+        slot_atom = pair_slot_matrix(symbols, symbols, atom_pair_key, self.pair_index_atom)
+        slot_bond = pair_slot_matrix(types, types, bond_pair_key, self.pair_index_bond)
+        cross_slots = pair_slot_matrix(symbols, types, cross_pair_key, self.pair_index_cross)
 
         # incidence entries sorted by atom give atom_from_bond; by bond, bond_from_atom
         cross_rows, cross_cols = np.nonzero(feats.incidence)
@@ -393,17 +399,6 @@ class Model:
 
     def prepare_molecule(self, m: Molecule) -> Prepared:
         return self.prepare(self.featurize(m))
-
-    def _pair_slots(
-        self, m: Molecule, types: list[PairKey]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Category-pair slots: atom-atom (N, N), bond-bond (M, M), atom-bond (N, M)."""
-        symbols = m.symbols()
-        return (
-            pair_slot_matrix(symbols, symbols, atom_pair_key, self.pair_index_atom),
-            pair_slot_matrix(types, types, bond_pair_key, self.pair_index_bond),
-            pair_slot_matrix(symbols, types, cross_pair_key, self.pair_index_cross),
-        )
 
     # ------------------------------------------------------------------
     # Per-edge biases on the tape
@@ -727,36 +722,16 @@ class Model:
 def assemble_bundle(model: Model, feats: Featurization) -> dict[str, np.ndarray]:
     """Dense phi_atom (N, N), phi_bond (M, M), phi_a2b (N, M) and phi_b2a (M, N).
 
-    Every pair gets the bias attention would read for it: ``Model._encode_pairs``
-    without a tape, the SPD table row on the self kinds, and the torsion term
-    only under ``use_torsion``, summed in ``_edge_biases``' order.
+    Each entry is the bias ``Model._edge_biases`` gives its pair when every pair
+    is an edge. Elements outside the model's embedding vocabulary are allowed.
     """
-    cfg = model.config
-    P = TapeParams.for_tape(model.params, None)
     n, mb = feats.n_atoms, feats.n_bonds
-    slot_atom, slot_bond, slot_cross = model._pair_slots(
-        feats.molecule, bond_types(feats.molecule, feats.bond_nodes)
+    every_pair = replace(
+        feats, masks=all_true_masks(n, mb), incidence=np.ones((n, mb), dtype=bool)
     )
-
-    def encode(bank: str, x: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        return model._encode_pairs(P, bank, PairChannel(x, slots)).value[:, 0]
-
-    def symmetric(size, i, j, values, spd, table) -> np.ndarray:
-        out = np.empty((size, size))
-        out[i, j] = values
-        out[j, i] = values
-        return out + P[table].value[spd_slot_ids(spd, cfg.max_spd), 0]
-
-    ai, aj = np.triu_indices(n)
-    bi, bj = np.triu_indices(mb)
-    atom = encode("enc.atom", feats.dist_atom[ai, aj], slot_atom[ai, aj])
-    bond = encode("enc.bond", feats.dist_bond[bi, bj], slot_bond[bi, bj])
-    if cfg.use_torsion:
-        bond = bond + encode("enc.tors", feats.cos_bond[bi, bj], slot_bond[bi, bj])
-    cross = encode("enc.cross", feats.dist_cross.ravel(), slot_cross.ravel()).reshape(n, mb)
+    prep = model._prepare(every_pair, feats.molecule.feature_ids())
+    biases = model._edge_biases(prep, TapeParams.for_tape(model.params, None))
     return {
-        "phi_atom": symmetric(n, ai, aj, atom, feats.spd_atom, "enc.spd_atom.table"),
-        "phi_bond": symmetric(mb, bi, bj, bond, feats.spd_bond, "enc.spd_bond.table"),
-        "phi_a2b": cross,
-        "phi_b2a": cross.T,
+        name: prep.attention[kind].edges.dense(biases[kind].value[:, 0])
+        for name, kind in zip(("phi_atom", "phi_bond", "phi_a2b", "phi_b2a"), ATTENTION_KINDS)
     }

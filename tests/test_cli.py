@@ -72,6 +72,15 @@ class TestFeaturize:
         assert doc["mask_atom"] == [[1, 1, 1]] * 3
         assert doc["spd_atom"][0] == [0, 1, 1]
 
+    def test_element_outside_embedding_vocabulary(self, capsys, water_file, tmp_path):
+        # the biases need no embedding row, so featurize exports what predict refuses
+        config = tmp_path / "hc.cfg"
+        config.write_text(MICRO_CONFIG.replace("H, C, O", "H, C"))
+        code, out, _ = run(capsys, ["featurize", water_file, "--config", str(config)])
+        assert code == 0 and len(json.loads(out)["phi_atom"]) == 3
+        code, out, err = run(capsys, ["predict", water_file, "--config", str(config)])
+        assert code == 2 and out == "" and "feature id 8" in err
+
     def test_missing_file_exit_2_names_file(self, capsys):
         code, out, err = run(capsys, ["featurize", "missing.xyz"])
         assert code == 2 and "missing.xyz" in err and out == ""
@@ -420,6 +429,35 @@ class TestAtomicOutput:
         assert code == 2 and out == "" and "No space left" in err
         assert old.read_text() == "old\n"
         assert os.listdir(out_dir) == ["chain3.features.json"]
+
+    def test_out_through_a_symlink_keeps_the_link(self, capsys, water_file, tmp_path):
+        target = tmp_path / "real.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        code, out, _ = run(capsys, ["bonds", water_file, "--out", str(link)])
+        assert code == 0 and out == ""
+        assert link.is_symlink() and json.loads(target.read_text())["n_atoms"] == 3
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json", "water.xyz"]
+
+    def test_out_to_stdout_redirected_to_a_file(self, capsys, water_file, tmp_path):
+        # a link of the test's own to /dev/stdout takes the same path as
+        # /dev/stdout itself, but a regression can only replace this link
+        stdout_link = tmp_path / "stdout"
+        stdout_link.symlink_to("/dev/stdout")
+        out_file = tmp_path / "out.json"
+        saved = os.dup(1)
+        try:
+            with open(out_file, "wb") as fh:
+                os.dup2(fh.fileno(), 1)
+            code, out, _ = run(capsys, ["bonds", water_file, "--out", str(stdout_link)])
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
+        assert code == 0 and out == ""
+        assert json.loads(out_file.read_text())["n_atoms"] == 3
+        assert stdout_link.is_symlink()
+        assert sorted(os.listdir(tmp_path)) == ["out.json", "stdout", "water.xyz"]
 
     def test_out_to_a_pipe_is_written_in_place(self, capsys, water_file, tmp_path):
         import stat

@@ -19,6 +19,7 @@ from demol.encodings import (
     bond_types,
     cosine_matrix,
     cross_pair_key,
+    pair_slot_matrix,
     spd_matrix,
 )
 from demol.errors import GeometryError
@@ -211,10 +212,15 @@ def test_cosines_and_pair_slots_match_loops(mol):
 
     symbols = mol.symbols()
     types = bond_types(mol, nodes)
-    slot_atom, slot_bond, slot_cross = MODEL._pair_slots(mol, types)
-    assert_same(slot_atom, loop_slots(symbols, symbols, atom_pair_key, MODEL.pair_index_atom))
-    assert_same(slot_bond, loop_slots(types, types, bond_pair_key, MODEL.pair_index_bond))
-    assert_same(slot_cross, loop_slots(symbols, types, cross_pair_key, MODEL.pair_index_cross))
+    for rows, cols, pair_key, pair_index in (
+        (symbols, symbols, atom_pair_key, MODEL.pair_index_atom),
+        (types, types, bond_pair_key, MODEL.pair_index_bond),
+        (symbols, types, cross_pair_key, MODEL.pair_index_cross),
+    ):
+        assert_same(
+            pair_slot_matrix(rows, cols, pair_key, pair_index),
+            loop_slots(rows, cols, pair_key, pair_index),
+        )
 
 
 def test_featurization_computes_three_distance_matrices(monkeypatch):
