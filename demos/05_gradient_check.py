@@ -24,7 +24,7 @@ inputs = model.sample_loss_inputs(mol, RandomStream(3))
 
 def f(tape):
     loss, _ = model.total_loss_from_inputs(inputs, tape)
-    return loss, (TapeParams.for_tape(model.params, tape) if tape is not None else None)
+    return loss, (TapeParams(model.params, tape) if tape is not None else None)
 
 
 print(f"checking {model.params.size} coordinates with step 1e-4 ...")

@@ -302,7 +302,6 @@ def gelu(a: Tensor) -> Tensor:
 def row_normalize(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Zero-mean unit-variance per row (parameter-free normalization)."""
     x = a.value
-    d = x.shape[1]
     mu = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
@@ -313,7 +312,6 @@ def row_normalize(a: Tensor, eps: float = 1e-5) -> Tensor:
         gy = (g * y).mean(axis=1, keepdims=True)
         return (inv * (g - gm - y * gy),)
 
-    del d
     return _emit("row_normalize", y, (a,), backward)
 
 
@@ -434,7 +432,7 @@ def scatter_pairs(weights: Tensor, v: Tensor, edges: EdgeList) -> Tensor:
     out = edges.by_row.sum(wv[:, :, None] * vv[cols]).reshape(edges.n_rows, v_shape[1])
 
     def backward(g):
-        gv = g.reshape(edges.n_rows, heads, -1)
+        gv = g.reshape(edges.n_rows, heads, v_shape[1] // heads)
         order = edges.col_order
         dw = np.einsum("ehd,ehd->eh", gv[rows], vv[cols])
         dv = edges.by_col.sum(wv[order, :, None] * gv[rows[order]])
@@ -549,7 +547,7 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
             continue
         parent_grads = fn(g)
         for pid, pg in zip(tape._parents[node_id], parent_grads):
-            if pg is None:
+            if pg is None or pid < 0:  # pid -1: an untaped input such as a constant
                 continue
             acc = grads.get(pid)
             grads[pid] = pg if acc is None else acc + pg
@@ -626,10 +624,6 @@ class TapeParams:
         self._leaf_ids: dict[str, int] = (
             {} if tape is None else tape._param_leaves.setdefault(id(params), (params, {}))[1]
         )
-
-    @classmethod
-    def for_tape(cls, params: ModelParams, tape: Tape | None) -> "TapeParams":
-        return cls(params, tape)
 
     def __getitem__(self, name: str) -> Tensor:
         arr = self.params[name]

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .autodiff import TapeParams, grad_check
-from .bonds import predict_bonds
+from .bonds import DEFAULT_ALPHA, predict_bonds
 from .elements import default_radii_table
 from .errors import (
     CheckpointError,
@@ -33,7 +33,7 @@ from .errors import (
     write_file,
 )
 from .fixtures import benzene_skeleton, chain, star_ch3, water
-from .masks import bond_mask
+from .masks import DEFAULT_CUTOFF, bond_mask
 from .model import Model, ModelConfig, assemble_bundle
 from .molecule import Molecule, parse_molecule_json, parse_xyz
 from .pipeline import featurize_molecule
@@ -110,13 +110,13 @@ def _emit_json(doc: dict, out_path: str | None) -> None:
 
 
 def _load_configs(args) -> tuple[ModelConfig, TrainConfig]:
-    text = read_text(args.config, "config file") if getattr(args, "config", None) else ""
+    text = read_text(args.config, "config file") if args.config else ""
     try:
         model_kv, train_kv = parse_config_file(text)
     except ValueError as exc:
         raise UsageError(f"bad configuration: {exc}") from None
-    # explicit flags outrank the config file
-    if getattr(args, "seed", None) is not None:
+    # explicit flags outrank the config file; gradcheck has no --alpha or --cutoff
+    if args.seed is not None:
         train_kv["seed"] = args.seed
     if getattr(args, "alpha", None) is not None:
         model_kv["bond_alpha"] = args.alpha
@@ -129,7 +129,11 @@ def _load_configs(args) -> tuple[ModelConfig, TrainConfig]:
 
 
 def _model_for(args) -> Model:
-    if getattr(args, "ckpt", None):
+    if args.ckpt:
+        given = [f"--{k}" for k in ("config", "seed", "alpha", "cutoff")
+                 if getattr(args, k) is not None]
+        if given:
+            raise UsageError(f"--ckpt loads a whole model; it excludes {', '.join(given)}")
         model, _, _, _ = load_checkpoint(args.ckpt)
         return model
     model_cfg, train_cfg = _load_configs(args)
@@ -143,8 +147,7 @@ def _model_for(args) -> Model:
 
 def cmd_bonds(args) -> int:
     mol = load_molecule(args.input)
-    alpha = args.alpha if args.alpha is not None else 1.15
-    bonds = predict_bonds(mol, alpha, default_radii_table())
+    bonds = predict_bonds(mol, args.alpha, default_radii_table())
     _emit_json(
         {"bonds": [[b.i, b.j, b.length] for b in bonds], "n_atoms": mol.n_atoms},
         args.out,
@@ -152,10 +155,8 @@ def cmd_bonds(args) -> int:
     return EXIT_OK
 
 
-def _feature_doc(model: Model, mol: Molecule, alpha: float, cutoff: float) -> dict:
-    feats = featurize_molecule(
-        mol, alpha=alpha, cutoff=cutoff, use_masks=model.config.use_structure_masks
-    )
+def _feature_doc(model: Model, mol: Molecule) -> dict:
+    feats = model.featurize(mol)
     phi = assemble_bundle(model, feats)  # a module global, so tracing can wrap it
     return {
         "n_atoms": mol.n_atoms,
@@ -170,12 +171,12 @@ def _feature_doc(model: Model, mol: Molecule, alpha: float, cutoff: float) -> di
 
 
 def cmd_featurize(args) -> int:
+    if (args.input is None) == (args.dataset is None):
+        raise UsageError("featurize needs either a molecule file or --dataset")
+    if args.dataset and not args.out:
+        raise UsageError("featurize --dataset needs --out DIRECTORY for per-file output")
     model = _model_for(args)
-    alpha = args.alpha if args.alpha is not None else model.config.bond_alpha
-    cutoff = args.cutoff if args.cutoff is not None else model.config.mask_cutoff
     if args.dataset:
-        if not args.out:
-            raise UsageError("featurize --dataset needs --out DIRECTORY for per-file output")
         names = _dataset_files(args.dataset)
         try:
             os.makedirs(args.out, exist_ok=True)
@@ -184,16 +185,14 @@ def cmd_featurize(args) -> int:
         written = []
         for name in names:
             mol = load_molecule(os.path.join(args.dataset, name))
-            doc = _feature_doc(model, mol, alpha, cutoff)
+            doc = _feature_doc(model, mol)
             out_path = os.path.join(args.out, os.path.splitext(name)[0] + ".features.json")
             _emit_json(doc, out_path)
             written.append(out_path)
         sys.stdout.write(json.dumps({"written": written}, indent=2) + "\n")
         return EXIT_OK
-    if not args.input:
-        raise UsageError("featurize needs a molecule file or --dataset")
     mol = load_molecule(args.input)
-    _emit_json(_feature_doc(model, mol, alpha, cutoff), args.out)
+    _emit_json(_feature_doc(model, mol), args.out)
     return EXIT_OK
 
 
@@ -205,6 +204,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.resume and args.seed is not None:
+        raise UsageError("--resume restores its checkpoint's random stream; it excludes --seed")
     model_cfg, train_cfg = _load_configs(args)
     dataset = load_dataset(args.dataset)
     if args.ckpt:
@@ -245,7 +246,7 @@ def cmd_gradcheck(args) -> int:
 
     def f(tape):
         loss, _ = model.total_loss_from_inputs(inputs, tape)
-        return loss, (TapeParams.for_tape(model.params, tape) if tape is not None else None)
+        return loss, (TapeParams(model.params, tape) if tape is not None else None)
 
     t0 = time.monotonic()
     report = grad_check(f, model.params, step=args.step)
@@ -347,50 +348,63 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="demol", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="molecule file (.xyz or .json)")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="bond threshold factor (default 1.15)")
-        p.add_argument("--cutoff", type=float, default=None,
-                       help="atom mask cutoff in Angstrom (default 5.0)")
+    def model_flags(p, ckpt_help):
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--alpha", type=float, default=None,
+                       help=f"bond threshold factor (default {DEFAULT_ALPHA})")
+        p.add_argument("--cutoff", type=float, default=None,
+                       help=f"atom mask cutoff in Angstrom (default {DEFAULT_CUTOFF})")
+        p.add_argument("--ckpt", default=None, help=ckpt_help)
+
+    def out_flag(p):
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        p.add_argument("--ckpt", default=None, help="checkpoint file")
+
+    load_help = "checkpoint to load the model from; excludes --config, --seed, --alpha, --cutoff"
 
     p = sub.add_parser("bonds", help="perceive bonds from covalent radii")
-    common(p)
+    p.add_argument("input", help="molecule file (.xyz or .json)")
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+                   help=f"bond threshold factor (default {DEFAULT_ALPHA})")
+    out_flag(p)
     p.set_defaults(func=cmd_bonds)
 
     p = sub.add_parser("featurize", help="emit the structure-encoding bundle")
-    common(p, needs_input=False)
     p.add_argument("input", nargs="?", default=None, help="molecule file (.xyz or .json)")
     p.add_argument("--dataset", default=None, help="featurize every molecule in a directory")
+    model_flags(p, load_help)
+    out_flag(p)
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("predict", help="predict the scalar property (eV)")
-    common(p)
+    p.add_argument("input", help="molecule file (.xyz or .json)")
+    model_flags(p, load_help)
+    out_flag(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("train", help="train on a directory of molecule files")
-    common(p, needs_input=False)
     p.add_argument("--dataset", required=True, help="directory of molecule files")
-    p.add_argument("--resume", default=None, help="checkpoint to resume from")
+    model_flags(p, "checkpoint file to write after training")
+    p.add_argument("--resume", default=None, help="checkpoint to resume from; excludes --seed")
+    out_flag(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient report")
-    common(p, needs_input=False)
     p.add_argument("input", nargs="?", default=None, help="molecule file (default: water)")
+    p.add_argument("--config", default=None, help="flat key=value config file")
+    p.add_argument("--seed", type=int, default=None, help="seed override")
     p.add_argument("--step", type=float, default=1e-4, help="finite-difference step")
+    out_flag(p)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("dump-attention", help="per-layer per-head attention maps")
-    common(p)
+    p.add_argument("input", help="molecule file (.xyz or .json)")
+    model_flags(p, load_help)
+    out_flag(p)
     p.set_defaults(func=cmd_dump_attention)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    common(p, needs_input=False)
+    out_flag(p)
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -45,11 +45,6 @@ class BondGraph:
     adjacency: np.ndarray  # (M, M) bool, symmetric, zero diagonal
     shared_atom: dict  # (p, q) with p < q -> common atom index
 
-    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(np.flatnonzero(self.adjacency[p]).tolist()) for p in range(self.n_bonds)
-        )
-
 
 def build_atom_graph(m: Molecule, b: BondSet) -> AtomGraph:
     n = m.n_atoms

@@ -41,9 +41,18 @@ DEFAULT_ELEMENTS = ("H", "C", "N", "O", "F", "P", "S", "Cl", "Br", "I", "Pt")
 
 ATTENTION_KINDS = ("atom_self", "bond_self", "atom_from_bond", "bond_from_atom")
 
-# dump-attention writes n_layers * n_heads * 4 dense maps, about 48 N^2 floats
-# of JSON under ModelConfig() (7.5 MB at N = 100); larger molecules are refused.
-MAX_DUMP_ATTENTION_ATOMS = 200
+# The dense exports grow as N^2: dump-attention writes n_layers * n_heads * 4
+# maps, about 48 N^2 floats of JSON under ModelConfig() (7.5 MB at N = 100),
+# and featurize four bias matrices over every pair. Both refuse larger molecules.
+MAX_DENSE_EXPORT_ATOMS = 200
+
+
+def _check_dense_export(command: str, n_atoms: int) -> None:
+    if n_atoms > MAX_DENSE_EXPORT_ATOMS:
+        raise SizeLimitError(
+            f"{command} is limited to {MAX_DENSE_EXPORT_ATOMS} atoms "
+            f"(dense maps grow as N^2), got {n_atoms}"
+        )
 
 
 @dataclass(frozen=True)
@@ -489,7 +498,7 @@ class Model:
         biases: dict[str, Tensor] | None = None,
     ) -> ForwardResult:
         cfg = self.config
-        P = TapeParams.for_tape(self.params, tape)
+        P = TapeParams(self.params, tape)
         mb = prep.n_bonds
         records: list[AttentionRecord] | None = [] if collect_attention else None
 
@@ -567,7 +576,7 @@ class Model:
         tape: Tape | None,
         biases: dict[str, Tensor] | None = None,
     ) -> Tensor:
-        P = TapeParams.for_tape(self.params, tape)
+        P = TapeParams(self.params, tape)
         fwd = self.forward_features(prep, tape, masked_ids=masked_ids, biases=biases)
         h_sel = ad.gather_rows(fwd.embeddings.h_atom, masked_ids)
         logits = ad.add_rowvec(ad.matmul(h_sel, P["head.mask.w"]), P["head.mask.b"])
@@ -583,7 +592,7 @@ class Model:
     def _coord_sse(
         self, prep_noisy: Prepared, clean_positions: np.ndarray, tape: Tape | None
     ) -> Tensor:
-        P = TapeParams.for_tape(self.params, tape)
+        P = TapeParams(self.params, tape)
         fwd = self.forward_features(prep_noisy, tape)
         delta = ad.add_rowvec(
             ad.matmul(fwd.embeddings.h_atom, P["head.coord.w"]), P["head.coord.b"]
@@ -594,7 +603,7 @@ class Model:
 
     def _bond_bce(self, prep: Prepared, h_atom: Tensor, tape: Tape | None) -> Tensor | None:
         """BCE of the bilinear bond head over in-mask candidate pairs."""
-        P = TapeParams.for_tape(self.params, tape)
+        P = TapeParams(self.params, tape)
         allowed = prep.feats.masks.atom.copy()
         np.fill_diagonal(allowed, False)
         ci, cj = np.where(np.triu(allowed))
@@ -646,7 +655,7 @@ class Model:
         fwd = None
         shared_biases = None
         if w_prop != 0.0 or w_bond != 0.0 or w_mask != 0.0:
-            P = TapeParams.for_tape(self.params, tape)
+            P = TapeParams(self.params, tape)
             shared_biases = self._edge_biases(li.prep, P)
         if w_prop != 0.0 or w_bond != 0.0:
             fwd = self.forward_features(li.prep, tape, biases=shared_biases)
@@ -690,11 +699,7 @@ class Model:
 
     def dump_attention(self, m: Molecule) -> dict:
         """Every layer's per-head dense attention maps; the one dense attention path."""
-        if m.n_atoms > MAX_DUMP_ATTENTION_ATOMS:
-            raise SizeLimitError(
-                f"dump-attention is limited to {MAX_DUMP_ATTENTION_ATOMS} atoms "
-                f"(dense maps grow as N^2), got {m.n_atoms}"
-            )
+        _check_dense_export("dump-attention", m.n_atoms)
         fwd = self.forward(m, collect_attention=True)
         return {
             "n_atoms": m.n_atoms,
@@ -726,11 +731,12 @@ def assemble_bundle(model: Model, feats: Featurization) -> dict[str, np.ndarray]
     is an edge. Elements outside the model's embedding vocabulary are allowed.
     """
     n, mb = feats.n_atoms, feats.n_bonds
+    _check_dense_export("featurize", n)
     every_pair = replace(
         feats, masks=all_true_masks(n, mb), incidence=np.ones((n, mb), dtype=bool)
     )
     prep = model._prepare(every_pair, feats.molecule.feature_ids())
-    biases = model._edge_biases(prep, TapeParams.for_tape(model.params, None))
+    biases = model._edge_biases(prep, TapeParams(model.params, None))
     return {
         name: prep.attention[kind].edges.dense(biases[kind].value[:, 0])
         for name, kind in zip(("phi_atom", "phi_bond", "phi_a2b", "phi_b2a"), ATTENTION_KINDS)

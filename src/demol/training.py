@@ -49,12 +49,13 @@ class TrainConfig:
     log_every: int = 0  # 0 = silent
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        # written as "not x >= 0" so that NaN fails too
+        if not (self.lr >= 0 and self.weight_decay >= 0):
+            raise ValueError("lr and weight_decay must be >= 0")
         b1, b2 = self.betas
         if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
             raise ValueError("betas must be in [0, 1)")
-        if self.eps <= 0 or self.grad_clip <= 0:
+        if not (self.eps > 0 and self.grad_clip > 0):
             raise ValueError("eps and grad_clip must be positive")
         object.__setattr__(self, "betas", (float(b1), float(b2)))
 
@@ -151,7 +152,7 @@ def _step_gradients(
         loss, parts = model.total_loss(mol, rng=rng, tape=tape)
     except NonFiniteError as exc:
         raise TrainingError(f"non-finite loss at step {step}: {exc}") from exc
-    tp = TapeParams.for_tape(model.params, tape)
+    tp = TapeParams(model.params, tape)
     return tp.flat_gradients(backward(tape, loss)), parts
 
 
@@ -280,6 +281,10 @@ _MODEL_KEYS = {
     "bond_alpha": float, "mask_cutoff": float,
 }
 _MODEL_FLAGS = {"use_structure_masks", "use_torsion", "pre_norm", "parallel_cross"}
+_BOOLEANS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
 
 
 def parse_config_file(text: str) -> tuple[dict, dict]:
@@ -307,7 +312,9 @@ def parse_config_file(text: str) -> tuple[dict, dict]:
         elif key in _MODEL_KEYS:
             model_kv[key] = _MODEL_KEYS[key](value)
         elif key in _MODEL_FLAGS:
-            model_kv[key] = value.lower() in ("1", "true", "yes", "on")
+            if value.lower() not in _BOOLEANS:
+                raise ValueError(f"config line {lineno}: {key} must be a boolean, got {value!r}")
+            model_kv[key] = _BOOLEANS[value.lower()]
         elif key == "loss_weights":
             model_kv["loss_weights"] = tuple(float(v) for v in value.split(","))
         elif key == "elements":

@@ -290,7 +290,7 @@ def test_criterion_07_gradient_correctness():
 
     def f(tape):
         loss, _ = model.total_loss_from_inputs(inputs, tape)
-        return loss, (TapeParams.for_tape(model.params, tape) if tape is not None else None)
+        return loss, (TapeParams(model.params, tape) if tape is not None else None)
 
     rep = grad_check(f, model.params, step=1e-4)
     elapsed = time.monotonic() - t0

@@ -281,6 +281,7 @@ class TestEdgeAttentionOracle:
     @example(rows=3, cols=0, heads=2, d=2, density=1.0, isolated_row=False, seed=0)  # E = 0
     @example(rows=4, cols=4, heads=2, d=3, density=1.0, isolated_row=False, seed=1)  # all pairs
     @example(rows=4, cols=3, heads=1, d=2, density=1.0, isolated_row=True, seed=2)  # empty row
+    @example(rows=0, cols=3, heads=2, d=2, density=1.0, isolated_row=False, seed=3)  # no bonds
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_masked_softmax(self, rows, cols, heads, d, density, isolated_row, seed):
         rs = np.random.RandomState(seed)
@@ -421,7 +422,7 @@ class TestTapeLifetime:
         gc.disable()
         try:
             tape = Tape()
-            tp = TapeParams.for_tape(params, tape)
+            tp = TapeParams(params, tape)
             edges = EdgeList.from_mask(np.ones((2, 2), dtype=bool))
             q = ad.matmul(tape.leaf(np.eye(2)), tp["w"])
             w = ad.softmax_bias_mask(q, tp["w"], tape.leaf(np.zeros((4, 1))), edges, 1)
@@ -438,8 +439,8 @@ class TestTapeLifetime:
         params = ModelParams()
         params.register("w", np.ones((1, 1)))
         tape = Tape()
-        a = TapeParams.for_tape(params, tape)["w"]
-        b = TapeParams.for_tape(params, tape)["w"]
+        a = TapeParams(params, tape)["w"]
+        b = TapeParams(params, tape)["w"]
         assert a.node_id == b.node_id and len(tape) == 1
 
 
@@ -455,7 +456,7 @@ class TestBackward:
         params.register("used", np.array([[2.0]]))
         params.register("unused", np.array([[5.0]]))
         tape = Tape()
-        tp = TapeParams.for_tape(params, tape)
+        tp = TapeParams(params, tape)
         loss = ad.mul(tp["used"], tp["used"])
         flat = tp.flat_gradients(backward(tape, loss))
         assert flat[0] == 4.0
@@ -509,7 +510,7 @@ class TestGradCheck:
         def f(tape):
             if tape is None:
                 return float(params["w"].sum() * 3.0), None
-            tp = TapeParams.for_tape(params, tape)
+            tp = TapeParams(params, tape)
             return ad.scale(ad.sum_all(tp["w"]), 3.0), tp
 
         report = grad_check(f, params, step=1e-4)
@@ -522,7 +523,7 @@ class TestGradCheck:
         def f(tape):
             if tape is None:
                 return 4.2, None
-            tp = TapeParams.for_tape(params, tape)
+            tp = TapeParams(params, tape)
             zero = ad.scale(ad.sum_all(tp["w"]), 0.0)
             return ad.add(zero, tape.leaf([[4.2]])), tp
 
@@ -541,7 +542,7 @@ class TestGradCheck:
             edges = EdgeList.from_mask(rs.rand(5, 2) < 0.8)
 
             def run(tape):
-                tp = TapeParams.for_tape(params, tape)
+                tp = TapeParams(params, tape)
                 x, keys, zero = (
                     ad.constant(a, tape) for a in (x_val, keys_val, np.zeros((len(edges), 1)))
                 )

@@ -255,13 +255,13 @@ class TestDumpAttention:
 
     def test_atom_limit_exits_2_before_the_maps(self, capsys, tmp_path, monkeypatch):
         from demol.fixtures import chain
-        from demol.model import MAX_DUMP_ATTENTION_ATOMS, Model
+        from demol.model import MAX_DENSE_EXPORT_ATOMS, Model
 
         def no_forward(*args, **kwargs):
             raise AssertionError("attention maps built above the atom limit")
 
         monkeypatch.setattr(Model, "forward", no_forward)
-        mol = chain(MAX_DUMP_ATTENTION_ATOMS + 1)
+        mol = chain(MAX_DENSE_EXPORT_ATOMS + 1)
         path = tmp_path / "long.xyz"
         path.write_text(
             f"{mol.n_atoms}\nlong chain\n"
@@ -270,7 +270,7 @@ class TestDumpAttention:
         code, out, err = run(capsys, ["dump-attention", str(path)])
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1
-        assert str(MAX_DUMP_ATTENTION_ATOMS) in err
+        assert str(MAX_DENSE_EXPORT_ATOMS) in err
 
 
 class TestSelftest:
@@ -346,6 +346,12 @@ class TestInputBoundaries:
 MICRO_CONFIG = (
     "d_a = 8\nd_b = 8\nd_h = 4\nn_heads = 2\nn_layers = 1\nffn_multiplier = 2\n"
     "kernels = 4\nmax_spd = 5\nn_length_buckets = 4\nelements = H, C, O\n"
+)
+# a gradcheck config far cheaper than gradcheck's built-in one
+TINY_GRADCHECK = (
+    "d_a = 2\nd_b = 2\nd_h = 1\nn_heads = 1\nn_layers = 1\nffn_multiplier = 1\n"
+    "kernels = 1\nmax_spd = 1\nn_length_buckets = 1\nelements = H, O\n"
+    "loss_weights = 0.1, 0.1, 0.1, 0.1\n"
 )
 
 
@@ -473,3 +479,313 @@ class TestAtomicOutput:
         assert code == 0 and out == ""
         assert json.loads(got[0])["n_atoms"] == 3
         assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "lr = nan",
+            "lr = -1",
+            "eps = nan",
+            "eps = 0",
+            "grad_clip = nan",
+            "grad_clip = 0",
+            "weight_decay = nan",
+            "weight_decay = -1",
+        ],
+    )
+    def test_bad_value_is_usage_error_before_step_0(
+        self, capsys, dataset_dir, tmp_path, monkeypatch, line
+    ):
+        import demol.cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran with a bad configuration")
+
+        monkeypatch.setattr(demol.cli, "train", no_training)
+        config = tmp_path / "t.cfg"
+        config.write_text(MICRO_CONFIG + "steps = 2\n" + line + "\n")
+        code, out, err = run(capsys, ["train", "--dataset", dataset_dir, "--config", str(config)])
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: bad configuration") and err.count("\n") == 1
+
+
+class TestConfigSwitches:
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+         ("0", False), ("false", False), ("NO", False), ("Off", False)],
+    )
+    def test_accepted_values(self, value, expected):
+        from demol.training import parse_config_file
+
+        model_kv, _ = parse_config_file(f"use_torsion = {value}\n")
+        assert model_kv == {"use_torsion": expected}
+
+    def test_misspelled_value_is_usage_error(self, capsys, water_file, tmp_path):
+        config = tmp_path / "t.cfg"
+        config.write_text(MICRO_CONFIG + "use_torsion = ture\n")
+        code, out, err = run(capsys, ["predict", water_file, "--config", str(config)])
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: bad configuration") and err.count("\n") == 1
+        assert "use_torsion" in err
+
+
+class TestMoleculesWithoutBonds:
+    """Backward through attention kinds with no query rows (M = 0 bonds)."""
+
+    @pytest.mark.parametrize(
+        "xyz", ["1\nhelium\nHe 0 0 0\n", "2\nfar apart\nH 0 0 0\nH 3 0 0\n"], ids=["he", "h2_3A"]
+    )
+    def test_gradcheck(self, capsys, tmp_path, xyz):
+        mol = tmp_path / "m.xyz"
+        mol.write_text(xyz)
+        config = tmp_path / "tiny.cfg"
+        config.write_text(TINY_GRADCHECK)
+        code, out, err = run(capsys, ["gradcheck", str(mol), "--config", str(config)])
+        assert code == 0, err
+        assert json.loads(out)["max_rel_err"] <= 1e-4
+
+    def test_train_when_the_noisy_copy_loses_its_bonds(self, capsys, tmp_path):
+        from demol.fixtures import water
+        from demol.molecule import emit_molecule_json
+
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "water.json").write_text(emit_molecule_json(water(target=0.3)))
+        config = tmp_path / "t.cfg"
+        config.write_text(
+            "steps = 3\nd_a = 8\nd_b = 8\nd_h = 2\nn_heads = 2\nn_layers = 1\nkernels = 4\n"
+        )
+        code, out, err = run(capsys, ["train", "--dataset", str(data), "--config", str(config)])
+        assert code == 0, err
+        assert json.loads(out)["steps"] == 3
+
+
+def long_chain_xyz(n_atoms: int) -> str:
+    from demol.fixtures import chain
+
+    mol = chain(n_atoms)
+    return f"{mol.n_atoms}\nlong chain\n" + "".join(
+        f"C {x:.6f} {y:.6f} {z:.6f}\n" for x, y, z in mol.positions
+    )
+
+
+class TestFeaturizeAtomLimit:
+    @pytest.fixture
+    def no_dense_export(self, monkeypatch):
+        from demol.model import MAX_DENSE_EXPORT_ATOMS, Model
+
+        prepare = Model._prepare
+
+        def guarded(self, feats, ids):
+            assert feats.n_atoms <= MAX_DENSE_EXPORT_ATOMS, "all-pairs edge lists above the limit"
+            return prepare(self, feats, ids)
+
+        monkeypatch.setattr(Model, "_prepare", guarded)
+
+    def test_molecule_file(self, capsys, tmp_path, no_dense_export):
+        from demol.model import MAX_DENSE_EXPORT_ATOMS
+
+        path = tmp_path / "long.xyz"
+        path.write_text(long_chain_xyz(MAX_DENSE_EXPORT_ATOMS + 1))
+        code, out, err = run(capsys, ["featurize", str(path)])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and str(MAX_DENSE_EXPORT_ATOMS) in err
+
+    def test_dataset(self, capsys, dataset_dir, tmp_path, no_dense_export):
+        from demol.model import MAX_DENSE_EXPORT_ATOMS
+
+        (tmp_path / "data" / "long.xyz").write_text(long_chain_xyz(MAX_DENSE_EXPORT_ATOMS + 1))
+        out_dir = tmp_path / "features"
+        code, out, err = run(capsys, ["featurize", "--dataset", dataset_dir, "--out", str(out_dir)])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and str(MAX_DENSE_EXPORT_ATOMS) in err
+
+
+# ---------------------------------------------------------------------------
+# Every (command, flag) pair: an accepted flag changes the output, any other
+# flag and any flag that another one makes meaningless exits 1
+# ---------------------------------------------------------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+COMMANDS = ("bonds", "featurize", "predict", "train", "gradcheck", "dump-attention", "selftest")
+# Before each command declared its own flags, all seven accepted these six.
+SHARED_FLAGS = ("--alpha", "--cutoff", "--config", "--seed", "--out", "--ckpt")
+FORMER_PAIRS = {(c, f) for c in COMMANDS for f in SHARED_FLAGS} | {
+    ("featurize", "--dataset"), ("train", "--dataset"), ("train", "--resume"),
+    ("gradcheck", "--step"),
+}
+
+# with no layer a gradcheck costs a quarter as much, and every flag still shows
+NO_LAYER_GRADCHECK = TINY_GRADCHECK.replace("n_layers = 1", "n_layers = 0")
+TRAIN_CONFIG = MICRO_CONFIG + "steps = 2\nlr = 0.01\nloss_weights = 1, 0, 0, 0\n"
+
+
+def _model_rows(command):
+    base = f"{command} {{w}} --config {{micro}}"
+    return [
+        (command, "--config", base, f"{command} {{w}} --config {{micro2}}"),
+        (command, "--seed", base, base + " --seed 5"),
+        (command, "--alpha", base, base + " --alpha 0.5"),  # below every bond threshold
+        (command, "--cutoff", base, base + " --cutoff 1.0"),  # drops the H-H pair
+        (command, "--ckpt", f"{command} {{w}}", f"{command} {{w}} --ckpt {{ckpt}}"),
+        (command, "--out", base, base + " --out {out}/x.json"),
+    ]
+
+
+TRAIN_BASE = "train --dataset {data} --config {train}"
+GRADCHECK_BASE = "gradcheck --config {tiny}"
+ACCEPTED = [
+    ("bonds", "--alpha", "bonds {w}", "bonds {w} --alpha 0.5"),
+    ("bonds", "--out", "bonds {w}", "bonds {w} --out {out}/x.json"),
+    *_model_rows("featurize"),
+    ("featurize", "--dataset",
+     "featurize --out {out}/f", "featurize --dataset {data} --out {out}/f"),
+    *_model_rows("predict"),
+    *_model_rows("dump-attention"),
+    ("train", "--dataset", "train --config {train}", TRAIN_BASE),
+    ("train", "--config", TRAIN_BASE, "train --dataset {data} --config {train2}"),
+    ("train", "--seed", TRAIN_BASE, TRAIN_BASE + " --seed 5"),
+    ("train", "--alpha", TRAIN_BASE, TRAIN_BASE + " --alpha 0.5"),
+    ("train", "--cutoff", TRAIN_BASE, TRAIN_BASE + " --cutoff 1.0"),
+    ("train", "--ckpt", TRAIN_BASE, TRAIN_BASE + " --ckpt {out}/t.ckpt"),
+    ("train", "--resume", TRAIN_BASE, TRAIN_BASE + " --resume {ckpt}"),
+    ("train", "--out", TRAIN_BASE, TRAIN_BASE + " --out {out}/x.json"),
+    ("gradcheck", "--config", GRADCHECK_BASE, "gradcheck --config {tiny2}"),
+    ("gradcheck", "--seed", GRADCHECK_BASE, GRADCHECK_BASE + " --seed 5"),
+    ("gradcheck", "--step", GRADCHECK_BASE, GRADCHECK_BASE + " --step 1e-3"),
+    ("gradcheck", "--out", GRADCHECK_BASE, GRADCHECK_BASE + " --out {out}/x.json"),
+    ("selftest", "--out", "selftest", "selftest --out {out}/x.json"),
+]
+ACCEPTED_PAIRS = {(c, f) for c, f, _, _ in ACCEPTED}
+FLAG_VALUE = {"--alpha": "0.5", "--cutoff": "0.1", "--seed": "0", "--step": "0.1"}
+EXCLUSIONS = [
+    f"{command} {{missing}} --ckpt {{missing}} {flag} {FLAG_VALUE.get(flag, '{missing}')}"
+    for command in ("featurize", "predict", "dump-attention")
+    for flag in ("--config", "--seed", "--alpha", "--cutoff")
+] + ["train --dataset {missing} --resume {missing} --seed 3"]
+
+
+@pytest.fixture(scope="module")
+def flag_files(tmp_path_factory):
+    """Inputs the flag table's argv name: molecule, dataset, configs, checkpoint."""
+    from demol.fixtures import chain, water
+    from demol.model import Model, ModelConfig
+    from demol.molecule import emit_molecule_json
+    from demol.rng import RandomStream
+    from demol.training import OptimizerState, parse_config_file, save_checkpoint
+
+    d = tmp_path_factory.mktemp("flags")
+    files = {"w": d / "water.xyz", "data": d / "data", "out": d / "out", "missing": d / "missing"}
+    files["w"].write_text(WATER_XYZ)
+    files["data"].mkdir()
+    # water, not only carbon: in identical atoms one layer cannot see the cutoff
+    (files["data"] / "water.json").write_text(emit_molecule_json(water(target=0.3)))
+    (files["data"] / "chain3.json").write_text(emit_molecule_json(chain(3, target=0.2)))
+    for name, text in (
+        ("micro", MICRO_CONFIG), ("micro2", MICRO_CONFIG + "kernels = 3\n"),
+        ("train", TRAIN_CONFIG), ("train2", TRAIN_CONFIG + "lr = 0.02\n"),
+        ("tiny", NO_LAYER_GRADCHECK), ("tiny2", NO_LAYER_GRADCHECK + "kernels = 2\n"),
+    ):
+        files[name] = d / f"{name}.cfg"
+        files[name].write_text(text)
+    # a step-1 checkpoint of the train config's model: every command loads it, train resumes it
+    model = Model(ModelConfig(**parse_config_file(TRAIN_CONFIG)[0]), seed=4)
+    files["ckpt"] = d / "m.ckpt"
+    save_checkpoint(str(files["ckpt"]), model, OptimizerState.zeros(model.params.size),
+                    RandomStream(4), 1)
+    return {k: str(v) for k, v in files.items()}
+
+
+@pytest.fixture(scope="module")
+def outcomes():
+    """Outcome by argv, so that rows sharing a base argv run it once."""
+    return {}
+
+
+def outcome(capsys, argv: str, files: dict, cache: dict) -> tuple:
+    """Exit code, stdout and the files written under ``out``; timings blanked."""
+    if argv not in cache:
+        import re
+        import shutil
+
+        shutil.rmtree(files["out"], ignore_errors=True)
+        os.mkdir(files["out"])
+        code, out, err = run(capsys, argv.format(**files).split())
+        written = {}
+        for root, _, names in os.walk(files["out"]):
+            for name in names:
+                with open(os.path.join(root, name), "rb") as fh:
+                    written[os.path.relpath(os.path.join(root, name), files["out"])] = fh.read()
+        cache[argv] = (code, re.sub(r'"seconds": [^,\n]*', "", out), written, err)
+    return cache[argv]
+
+
+def parser_flags() -> dict[str, set[str]]:
+    import argparse
+
+    from demol.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {s for a in p._actions for s in a.option_strings if s != "-h" and s != "--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+class TestFlagTable:
+    def test_table_covers_every_former_pair(self):
+        accepted = {(c, f) for c, flags in parser_flags().items() for f in flags}
+        assert accepted == ACCEPTED_PAIRS and len(accepted) == 34
+        assert accepted <= FORMER_PAIRS and len(FORMER_PAIRS) == 46
+
+    @pytest.mark.parametrize(
+        "command, flag, base, variant", ACCEPTED, ids=[f"{c}{f}" for c, f, _, _ in ACCEPTED]
+    )
+    def test_accepted_flag_changes_the_output(
+        self, capsys, flag_files, outcomes, command, flag, base, variant
+    ):
+        assert variant.split()[0] == command and flag in variant.split()
+        with_flag = outcome(capsys, variant, flag_files, outcomes)
+        assert with_flag[0] == 0, with_flag[3]
+        assert with_flag[:3] != outcome(capsys, base, flag_files, outcomes)[:3]
+
+    @pytest.mark.parametrize(
+        "command, flag", sorted(FORMER_PAIRS - ACCEPTED_PAIRS), ids=lambda x: x
+    )
+    def test_other_flag_is_usage_error(self, capsys, flag_files, command, flag):
+        needs_input = command in ("bonds", "predict", "dump-attention")
+        argv = [command] + ([flag_files["missing"] + ".xyz"] if needs_input else [])
+        argv += [flag, FLAG_VALUE.get(flag, flag_files["missing"])]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", EXCLUSIONS)
+    def test_meaningless_combination_exits_before_any_file_is_read(self, capsys, flag_files, argv):
+        # every path named is missing, so reading any of them would exit 2
+        code, out, err = run(capsys, argv.format(**flag_files).split())
+        assert code == 1 and out == ""
+        assert err.startswith("usage error") and err.count("\n") == 1
+
+    def test_featurize_takes_a_file_or_a_dataset_not_both(self, capsys, flag_files):
+        argv = "featurize {missing}.xyz --dataset {missing} --out {missing}".format(**flag_files)
+        code, out, err = run(capsys, argv.split())
+        assert code == 1 and out == "" and err.startswith("usage error")
+
+    def test_readme_table_matches_the_parser(self):
+        import re
+
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        start = lines.index("| command | flags |")
+        documented = {}
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            _, command, flags, _ = line.split("|")
+            documented[command.strip().strip("`")] = set(re.findall(r"`(--[a-z-]+)`", flags))
+        assert documented == parser_flags()

@@ -222,7 +222,7 @@ class TestCrossAttention:
         # push the cross bias toward the oxygen endpoint and compare
         edges = prep.attention["bond_from_atom"].edges
         bias = np.where(edges.cols == 0, 5.0, 0.0)
-        P = TapeParams.for_tape(model.params, None)
+        P = TapeParams(model.params, None)
         biases = model._edge_biases(prep, P)
         biases["bond_from_atom"] = ad.add(biases["bond_from_atom"], ad.constant(bias))
         boosted = model.forward_features(prep, collect_attention=True, biases=biases)
@@ -475,7 +475,7 @@ class TestBiasPathsAgree:
         for mol in [benzene_skeleton()] + [random_molecule(rs) for _ in range(5)]:
             feats = model.featurize(mol)
             prep = model.prepare(feats)
-            P = TapeParams.for_tape(model.params, None)
+            P = TapeParams(model.params, None)
             biases = model._edge_biases(prep, P)
             bundle = assemble_bundle(model, feats)
             # every edge is an allowed entry, and every allowed entry an edge
@@ -517,7 +517,7 @@ class TestGradients:
 
         tape = Tape()
         loss, _ = model.total_loss_from_inputs(inputs, tape)
-        tp = TapeParams.for_tape(model.params, tape)
+        tp = TapeParams(model.params, tape)
         analytic = tp.flat_gradients(backward(tape, loss))
 
         rs = np.random.RandomState(0)
@@ -556,7 +556,7 @@ class TestGradients:
         assert feats.masks.atom.all()  # everything within 5 Angstrom
         tape = Tape()
         loss, _ = model.total_loss(mol, RandomStream(1), tape)
-        tp = TapeParams.for_tape(model.params, tape)
+        tp = TapeParams(model.params, tape)
         flat = tp.flat_gradients(backward(tape, loss))
         sl = model.params.slices()["enc.spd_atom.table"]
         table_grad = flat[sl].reshape(-1)
@@ -567,7 +567,7 @@ class TestGradients:
         mol = water(target=0.5)
         tape = Tape()
         loss, _ = model.total_loss(mol, RandomStream(5), tape)
-        tp = TapeParams.for_tape(model.params, tape)
+        tp = TapeParams(model.params, tape)
         flat = tp.flat_gradients(backward(tape, loss))
         slices = model.params.slices()
         for name in (
