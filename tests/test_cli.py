@@ -1,9 +1,12 @@
+import argparse
 import json
 import os
+import re
+import shutil
 
 import pytest
 
-from demol.cli import main
+from demol.cli import build_parser, main
 from demol.fixtures import WATER_XYZ
 
 
@@ -709,9 +712,6 @@ def outcomes():
 def outcome(capsys, argv: str, files: dict, cache: dict) -> tuple:
     """Exit code, stdout and the files written under ``out``; timings blanked."""
     if argv not in cache:
-        import re
-        import shutil
-
         shutil.rmtree(files["out"], ignore_errors=True)
         os.mkdir(files["out"])
         code, out, err = run(capsys, argv.format(**files).split())
@@ -725,10 +725,6 @@ def outcome(capsys, argv: str, files: dict, cache: dict) -> tuple:
 
 
 def parser_flags() -> dict[str, set[str]]:
-    import argparse
-
-    from demol.cli import build_parser
-
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return {
         name: {s for a in p._actions for s in a.option_strings if s != "-h" and s != "--help"}
@@ -777,8 +773,6 @@ class TestFlagTable:
         assert code == 1 and out == "" and err.startswith("usage error")
 
     def test_readme_table_matches_the_parser(self):
-        import re
-
         with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         start = lines.index("| command | flags |")
