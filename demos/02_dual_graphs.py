@@ -1,34 +1,35 @@
 """Build the atom-centric graph and its bond-centric line graph.
 
 Bonds become nodes; two bond nodes connect when the bonds share an atom. The
-line graph carries each bond's midpoint, unit direction, and length, which
-feed the torsion encoding later.
+line graph carries each bond's midpoint, unit direction, and length as
+arrays, which feed the torsion encoding later.
 """
 
 import numpy as np
 
-from demol import build_atom_graph, build_bond_graph, predict_bonds
+from demol import atom_adjacency, build_bond_graph, predict_bonds
 from demol.fixtures import benzene_skeleton, star_ch3
 
 for mol in (benzene_skeleton(), star_ch3()):
     bonds = predict_bonds(mol)
-    g = build_atom_graph(mol, bonds)
-    bg = build_bond_graph(mol, g, bonds)
+    adjacency = atom_adjacency(mol.n_atoms, bonds)
+    bg = build_bond_graph(mol, bonds)
 
     print(f"== {mol.name}: N = {mol.n_atoms} atoms, M = {bg.n_bonds} bonds")
     print("atom adjacency:")
-    print(g.adjacency.astype(int))
+    print(adjacency.astype(int))
     print("line-graph adjacency (bonds sharing an atom):")
     print(bg.adjacency.astype(int))
 
-    degrees = [g.degree(v) for v in range(mol.n_atoms)]
+    degrees = adjacency.sum(axis=1).tolist()
     handshake = sum(d * (d - 1) // 2 for d in degrees)
     print(f"degrees {degrees} -> sum C(deg, 2) = {handshake} "
           f"= line-graph edges = {int(bg.adjacency.sum()) // 2}")
 
-    for p, node in enumerate(bg.bond_nodes[:3]):
-        print(f"bond {p} = atoms ({node.atom_i},{node.atom_j}): "
-              f"midpoint {np.round(node.midpoint, 3)}, length {node.length:.3f}")
+    for p in range(min(3, bg.n_bonds)):
+        i, j = bg.ends[p]
+        print(f"bond {p} = atoms ({i},{j}): "
+              f"midpoint {np.round(bg.midpoints[p], 3)}, length {bg.lengths[p]:.3f}")
     print()
 
 # a benzene ring's line graph is again a 6-cycle, so opposite bonds sit at
@@ -36,9 +37,9 @@ for mol in (benzene_skeleton(), star_ch3()):
 from demol import spd_matrix, bond_mask  # noqa: E402
 
 mol = benzene_skeleton()
-bonds = predict_bonds(mol)
-bg = build_bond_graph(mol, build_atom_graph(mol, bonds), bonds)
+bg = build_bond_graph(mol, predict_bonds(mol))
+spd = spd_matrix(bg.adjacency)
 print("line-graph hop counts for benzene bonds:")
-print(spd_matrix(bg))
+print(spd)
 print("bond attention mask (distance <= 2):")
-print(bond_mask(bg).astype(int))
+print(bond_mask(spd).astype(int))

@@ -39,7 +39,7 @@ print()
 mol = water()
 feats = featurize_molecule(mol)
 print("water inter-bond cosines (O-H1 vs O-H2 is the 104.52 degree angle):")
-print(cosine_matrix(feats.bond_graph, feats.bond_nodes))
+print(cosine_matrix(feats.bond_graph))
 print("atom hop counts:")
 print(feats.spd_atom)
 

@@ -37,15 +37,7 @@ from .errors import (
     TrainingError,
     UnknownElementError,
 )
-from .graphs import (
-    AtomGraph,
-    BondGraph,
-    BondNode,
-    bond_geometry,
-    build_atom_graph,
-    build_bond_graph,
-    build_line_graph,
-)
+from .graphs import BondGraph, atom_adjacency, build_bond_graph
 from .masks import MaskMatrices, atom_mask, bond_mask, build_masks
 from .model import EmbeddingSet, Model, ModelConfig, assemble_bundle
 from .molecule import (

@@ -93,22 +93,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.value.shape}, taped={self.tape is not None})"
 
-    # operator sugar
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
 
 def constant(value, tape: Tape | None = None) -> Tensor:
     """Wrap an array as a non-differentiable input."""
@@ -574,9 +558,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
-
     def names(self) -> tuple[str, ...]:
         return tuple(self._arrays)
 
@@ -667,27 +648,25 @@ def relative_error(a: float, b: float) -> float:
 
 
 def grad_check(
-    f: Callable[[Tape | None], tuple[Tensor | float, TapeParams | None]],
-    params: ModelParams,
-    step: float = 1e-4,
+    f: Callable[[Tape | None], Tensor | float], params: ModelParams, step: float = 1e-4
 ) -> GradCheckReport:
     """Compare reverse-mode gradients of ``f`` against central differences.
 
     ``f`` must be deterministic given the current parameter values and return
-    ``(loss, tape_params)``: the analytic call receives a tape and must hand
-    back the ``TapeParams`` view it read parameters through, so leaf
-    gradients can be collected; finite-difference calls receive ``None`` and
-    may return ``(float, None)``. Relative error per coordinate is
-    |a - b| / max(1e-8, |a| + |b|).
+    the loss. The analytic call receives a tape and must return a Tensor on it,
+    reading parameters through ``TapeParams(params, tape)``; every view of
+    ``params`` on that tape shares its leaf ids, so a view made here collects
+    the gradients. Finite-difference calls receive ``None`` and may return a
+    float. Relative error per coordinate is |a - b| / max(1e-8, |a| + |b|).
     """
     tape = Tape()
-    loss, tp = f(tape)
-    if not isinstance(loss, Tensor) or loss.tape is not tape or tp is None:
-        raise ShapeError("grad_check: analytic call must return (taped Tensor, TapeParams)")
-    analytic = tp.flat_gradients(backward(tape, loss))
+    loss = f(tape)
+    if not isinstance(loss, Tensor) or loss.tape is not tape:
+        raise ShapeError("grad_check: analytic call must return a Tensor on its tape")
+    analytic = TapeParams(params, tape).flat_gradients(backward(tape, loss))
 
     def value_only() -> float:
-        out, _ = f(None)
+        out = f(None)
         return out.item() if isinstance(out, Tensor) else float(out)
 
     n = params.size

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import ParseError, UnknownElementError, read_text
 
@@ -67,12 +67,6 @@ class CovalentRadiiTable:
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._elements
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._elements)
-
-    def __len__(self) -> int:
-        return len(self._elements)
 
     def symbols(self) -> tuple[str, ...]:
         return tuple(self._elements)

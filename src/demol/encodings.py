@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graphs import UNREACHABLE, BondGraph, BondNode, spd_matrix
+from .graphs import UNREACHABLE, BondGraph, spd_matrix
 from .molecule import Molecule
 
 # ---------------------------------------------------------------------------
@@ -65,9 +65,9 @@ def _kind_ids(keys: Sequence) -> tuple[list, np.ndarray]:
     return list(kind_id), np.array([kind_id[key] for key in keys], dtype=np.intp)
 
 
-def bond_types(m: Molecule, nodes: Sequence[BondNode]) -> list[PairKey]:
+def bond_types(m: Molecule, bg: BondGraph) -> list[PairKey]:
     symbols = m.symbols()
-    return [bond_type_key(symbols[n.atom_i], symbols[n.atom_j]) for n in nodes]
+    return [bond_type_key(symbols[i], symbols[j]) for i, j in bg.ends.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def spd_slot_ids(spd: np.ndarray, max_spd: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def cosine_matrix(bg: BondGraph, nodes: Sequence[BondNode]) -> np.ndarray:
+def cosine_matrix(bg: BondGraph) -> np.ndarray:
     """Raw M x M inter-bond cosines.
 
     Adjacent bonds use the chemical bond angle: both directions re-oriented to
@@ -96,19 +96,12 @@ def cosine_matrix(bg: BondGraph, nodes: Sequence[BondNode]) -> np.ndarray:
     cosine of the angle between the two bond axes, which is independent of
     atom labelling. Diagonal entries are 1.
     """
-    m = bg.n_bonds
-    out = np.zeros((m, m), dtype=np.float64)
-    if m == 0:
-        return out
-    dirs = np.stack([node.direction for node in nodes])
-    raw = dirs @ dirs.T
-    out[:] = np.abs(raw)
-    if bg.shared_atom:
-        p, q = np.array(list(bg.shared_atom), dtype=np.intp).T
-        shared = np.fromiter(bg.shared_atom.values(), dtype=np.intp, count=p.size)
-        atom_i = np.array([node.atom_i for node in nodes], dtype=np.intp)
-        sp = np.where(atom_i[p] == shared, 1.0, -1.0)
-        sq = np.where(atom_i[q] == shared, 1.0, -1.0)
-        out[p, q] = out[q, p] = sp * sq * raw[p, q]
+    raw = bg.directions @ bg.directions.T
+    out = np.abs(raw)
+    p, q, shared = bg.shared.T
+    atom_i = bg.ends[:, 0]
+    sp = np.where(atom_i[p] == shared, 1.0, -1.0)
+    sq = np.where(atom_i[q] == shared, 1.0, -1.0)
+    out[p, q] = out[q, p] = sp * sq * raw[p, q]
     np.fill_diagonal(out, 1.0)
     return out

@@ -1,8 +1,8 @@
-"""Atom-centric graph and its bond-centric line graph.
+"""Atom-centric graph and its bond-centric line graph, as arrays.
 
-Bond nodes carry geometry: the midpoint of the two endpoint positions, the
-unit direction from the lower-index atom to the higher-index one, and the
-bond length.
+Bond p joins atoms ``ends[p]``, the lower index first. Its geometry is the
+midpoint of the two endpoint positions, the unit direction from the
+lower-index atom to the higher-index one, and the bond length.
 """
 
 from __future__ import annotations
@@ -20,104 +20,64 @@ UNREACHABLE = -1  # sentinel in integer hop-count matrices
 
 
 @dataclass(frozen=True)
-class AtomGraph:
-    n_atoms: int
-    adjacency: np.ndarray  # (N, N) bool, symmetric, zero diagonal
-    neighbor_lists: tuple[tuple[int, ...], ...]
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbor_lists[i])
-
-
-@dataclass(frozen=True)
-class BondNode:
-    atom_i: int
-    atom_j: int  # atom_i < atom_j
-    midpoint: np.ndarray  # (3,)
-    direction: np.ndarray  # (3,), unit, atom_i -> atom_j
-    length: float
-
-
-@dataclass(frozen=True)
 class BondGraph:
-    n_bonds: int
-    bond_nodes: tuple[BondNode, ...]
+    ends: np.ndarray  # (M, 2) intp, BondSet order
+    lengths: np.ndarray  # (M,)
+    midpoints: np.ndarray  # (M, 3)
+    directions: np.ndarray  # (M, 3), unit, ends[p, 0] -> ends[p, 1]
+    incidence: np.ndarray  # (N, M) bool: atom a is an endpoint of bond p
     adjacency: np.ndarray  # (M, M) bool, symmetric, zero diagonal
-    shared_atom: dict  # (p, q) with p < q -> common atom index
+    shared: np.ndarray  # (E, 3) rows (p, q, common atom), p < q, one per line-graph edge
+
+    @property
+    def n_bonds(self) -> int:
+        return len(self.ends)
 
 
-def build_atom_graph(m: Molecule, b: BondSet) -> AtomGraph:
-    n = m.n_atoms
-    adjacency = np.zeros((n, n), dtype=bool)
-    for bond in b:
-        if bond.j >= n:
-            raise IndexError(f"bond {bond.key} out of range for {n} atoms")
-        adjacency[bond.i, bond.j] = True
-        adjacency[bond.j, bond.i] = True
-    adjacency.flags.writeable = False
-    neighbors = tuple(tuple(np.flatnonzero(adjacency[i]).tolist()) for i in range(n))
-    return AtomGraph(n, adjacency, neighbors)
-
-
-def bond_geometry(m: Molecule, b: BondSet) -> tuple[BondNode, ...]:
-    nodes = []
-    for bond in b:
-        ri = m.atoms[bond.i].position
-        rj = m.atoms[bond.j].position
-        delta = rj - ri
-        length = float(np.linalg.norm(delta))
-        if length <= MIN_BOND_LENGTH:
-            raise GeometryError(f"bond {bond.key} has zero length")
-        midpoint = (ri + rj) / 2.0
-        direction = delta / length
-        midpoint.flags.writeable = False
-        direction.flags.writeable = False
-        nodes.append(BondNode(bond.i, bond.j, midpoint, direction, length))
-    return tuple(nodes)
-
-
-def incidence_matrix(n_atoms: int, b: BondSet) -> np.ndarray:
-    """(N, M) bool: entry (a, p) is true when atom a is an endpoint of bond p."""
+def atom_adjacency(n_atoms: int, b: BondSet) -> np.ndarray:
+    """(N, N) bool, symmetric, zero diagonal: the atom graph of a BondSet."""
     ends = np.array(b.keys(), dtype=np.intp).reshape(-1, 2)
-    incidence = np.zeros((n_atoms, len(ends)), dtype=bool)
+    out_of_range = ends[:, 1] >= n_atoms
+    if out_of_range.any():
+        key = b.keys()[int(np.argmax(out_of_range))]
+        raise IndexError(f"bond {key} out of range for {n_atoms} atoms")
+    adjacency = np.zeros((n_atoms, n_atoms), dtype=bool)
+    adjacency[ends[:, 0], ends[:, 1]] = adjacency[ends[:, 1], ends[:, 0]] = True
+    return adjacency
+
+
+def build_bond_graph(m: Molecule, b: BondSet) -> BondGraph:
+    """Bonds in BondSet order, with their geometry; edges join bonds sharing one atom.
+
+    Lengths are copied from the BondSet, which ``predict_bonds`` measured with
+    ``distance()``; they are not measured again.
+    """
+    ends = np.array(b.keys(), dtype=np.intp).reshape(-1, 2)
+    lengths = np.array([bond.length for bond in b], dtype=np.float64)
+    too_short = lengths <= MIN_BOND_LENGTH
+    if too_short.any():
+        raise GeometryError(f"bond {b.keys()[int(np.argmax(too_short))]} has zero length")
+    ri, rj = m.positions[ends[:, 0]], m.positions[ends[:, 1]]
+    incidence = np.zeros((m.n_atoms, len(ends)), dtype=bool)
     incidence[ends, np.arange(len(ends))[:, None]] = True
-    return incidence
-
-
-def build_line_graph(g: AtomGraph, b: BondSet) -> BondGraph:
-    """Bond nodes in BondSet order; edges between bonds sharing one atom."""
-    keys = b.keys()
-    for i, j in keys:
-        if j >= g.n_atoms or not g.adjacency[i, j]:
-            raise ValueError(f"bond {(i, j)} is not an edge of the atom graph")
-    ends = np.array(keys, dtype=np.intp).reshape(-1, 2)
-    incidence = incidence_matrix(g.n_atoms, b)
     # Row p of I^T I counts the atoms bond p shares with each bond: it is the sum
     # of the incidence rows of p's two endpoints, so no product is needed.
     has_i = incidence[ends[:, 0]]
     adjacency = has_i | incidence[ends[:, 1]]
     np.fill_diagonal(adjacency, False)
-    adjacency.flags.writeable = False
     p, q = np.nonzero(np.triu(adjacency))
     common = np.where(has_i[p, q], ends[p, 0], ends[p, 1])
-    shared = dict(zip(zip(p.tolist(), q.tolist()), common.tolist()))
-    # geometry is attached by the caller; keep a placeholder-free constructor
-    return BondGraph(len(keys), (), adjacency, shared)
+    midpoints, directions = (ri + rj) / 2.0, (rj - ri) / lengths[:, None]
+    shared = np.stack([p, q, common], axis=1)
+    return BondGraph(ends, lengths, midpoints, directions, incidence, adjacency, shared)
 
 
-def build_bond_graph(m: Molecule, g: AtomGraph, b: BondSet) -> BondGraph:
-    """Line graph with bond-node geometry attached."""
-    bare = build_line_graph(g, b)
-    return BondGraph(bare.n_bonds, bond_geometry(m, b), bare.adjacency, bare.shared_atom)
-
-
-def spd_matrix(g: AtomGraph | BondGraph | np.ndarray, max_hops: int | None = None) -> np.ndarray:
-    """All-pairs unweighted hop counts; -1 if unreachable or beyond ``max_hops``.
+def spd_matrix(adjacency: np.ndarray) -> np.ndarray:
+    """All-pairs unweighted hop counts of an (n, n) bool adjacency; -1 if unreachable.
 
     A level-synchronous breadth-first search from all sources at once, on flat
     ``source * n + node`` pair indices and a CSR neighbour table.
     """
-    adjacency = g if isinstance(g, np.ndarray) else g.adjacency
     n = adjacency.shape[0]
     out = np.full((n, n), UNREACHABLE, dtype=np.int64)
     hops = out.reshape(-1)
@@ -126,7 +86,7 @@ def spd_matrix(g: AtomGraph | BondGraph | np.ndarray, max_hops: int | None = Non
     frontier = np.arange(n) * (n + 1)
     hops[frontier] = 0
     depth = 0
-    while frontier.size and depth != max_hops:
+    while frontier.size:
         depth += 1
         node = frontier % n
         count = row_start[node + 1] - row_start[node]

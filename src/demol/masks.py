@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import UNREACHABLE, BondGraph, spd_matrix
+from .graphs import UNREACHABLE
 from .molecule import Molecule, pairwise_distances
 
 DEFAULT_CUTOFF = 5.0  # Angstrom
@@ -41,15 +41,15 @@ def atom_mask(m: Molecule | np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> np.nd
     return allowed
 
 
-def bond_mask(bg: BondGraph) -> np.ndarray:
-    """Bond pairs at line-graph distance 0, 1 or 2."""
-    return spd_matrix(bg, max_hops=2) != UNREACHABLE
+def bond_mask(spd_bond: np.ndarray) -> np.ndarray:
+    """Bond pairs at line-graph distance 0, 1 or 2, from the (M, M) hop counts."""
+    return (spd_bond != UNREACHABLE) & (spd_bond <= 2)
 
 
 def build_masks(
-    m: Molecule | np.ndarray, bg: BondGraph, cutoff: float = DEFAULT_CUTOFF
+    m: Molecule | np.ndarray, spd_bond: np.ndarray, cutoff: float = DEFAULT_CUTOFF
 ) -> MaskMatrices:
-    return MaskMatrices(atom_mask(m, cutoff), bond_mask(bg))
+    return MaskMatrices(atom_mask(m, cutoff), bond_mask(spd_bond))
 
 
 def all_true_masks(n_atoms: int, n_bonds: int) -> MaskMatrices:

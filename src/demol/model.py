@@ -13,13 +13,12 @@ export the biases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import EdgeList, ModelParams, Tape, TapeParams, Tensor
-from .bonds import BondSet
 from .elements import ATOMIC_NUMBERS
 from .encodings import (
     atom_pair_key,
@@ -47,7 +46,7 @@ ATTENTION_KINDS = ("atom_self", "bond_self", "atom_from_bond", "bond_from_atom")
 MAX_DENSE_EXPORT_ATOMS = 200
 
 
-def _check_dense_export(command: str, n_atoms: int) -> None:
+def check_dense_export(command: str, n_atoms: int) -> None:
     if n_atoms > MAX_DENSE_EXPORT_ATOMS:
         raise SizeLimitError(
             f"{command} is limited to {MAX_DENSE_EXPORT_ATOMS} atoms "
@@ -108,23 +107,7 @@ class ModelConfig:
         object.__setattr__(self, "loss_weights", tuple(float(w) for w in self.loss_weights))
 
     def to_dict(self) -> dict:
-        return {
-            "d_a": self.d_a, "d_b": self.d_b, "d_h": self.d_h,
-            "n_heads": self.n_heads, "n_layers": self.n_layers,
-            "ffn_multiplier": self.ffn_multiplier,
-            "loss_weights": list(self.loss_weights),
-            "mask_ratio": self.mask_ratio,
-            "coord_noise_sigma": self.coord_noise_sigma,
-            "kernels": self.kernels, "width_dist": self.width_dist,
-            "width_tors": self.width_tors, "max_spd": self.max_spd,
-            "length_bucket_width": self.length_bucket_width,
-            "n_length_buckets": self.n_length_buckets,
-            "elements": list(self.elements),
-            "bond_alpha": self.bond_alpha, "mask_cutoff": self.mask_cutoff,
-            "use_structure_masks": self.use_structure_masks,
-            "use_torsion": self.use_torsion, "pre_norm": self.pre_norm,
-            "cross_order": self.cross_order, "parallel_cross": self.parallel_cross,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
@@ -336,14 +319,13 @@ class Model:
     # Featurization and prepared index structures
     # ------------------------------------------------------------------
 
-    def featurize(self, m: Molecule, *, bonds: BondSet | None = None) -> Featurization:
+    def featurize(self, m: Molecule) -> Featurization:
         cfg = self.config
         return featurize_molecule(
             m,
             alpha=cfg.bond_alpha,
             cutoff=cfg.mask_cutoff,
             use_masks=cfg.use_structure_masks,
-            bonds=bonds,
         )
 
     def prepare(self, feats: Featurization) -> Prepared:
@@ -361,16 +343,15 @@ class Model:
         m = feats.molecule
         n, mb = feats.n_atoms, feats.n_bonds
 
-        types = bond_types(m, feats.bond_nodes)
+        types = bond_types(m, feats.bond_graph)
         type_ids = np.array(
             [self.bond_type_vocab.get(t, self.bond_type_fallback) for t in types], dtype=np.intp
         )
-        lengths = np.array([node.length for node in feats.bond_nodes], dtype=np.float64)
         buckets = np.clip(
-            np.floor(lengths / self.config.length_bucket_width).astype(np.intp),
+            np.floor(feats.bond_graph.lengths / self.config.length_bucket_width).astype(np.intp),
             0,
             self.config.n_length_buckets - 1,
-        ) if mb else np.zeros(0, dtype=np.intp)
+        )
 
         atom_att, ai, aj = _self_edges(feats.masks.atom, feats.spd_atom, self.config.max_spd)
         bond_att, bi, bj = _self_edges(feats.masks.bond, feats.spd_bond, self.config.max_spd)
@@ -609,8 +590,7 @@ class Model:
         ci, cj = np.where(np.triu(allowed))
         if ci.size == 0:
             return None
-        truth = set(prep.feats.bonds.keys())
-        labels = np.array([(int(a), int(b)) in truth for a, b in zip(ci, cj)], dtype=np.float64)
+        labels = (prep.feats.spd_atom[ci, cj] == 1).astype(np.float64)
         hi = ad.gather_rows(h_atom, ci)
         hj = ad.gather_rows(h_atom, cj)
         s_ij = ad.sum_cols(ad.mul(ad.matmul(hi, P["head.bond.w"]), hj))
@@ -699,7 +679,7 @@ class Model:
 
     def dump_attention(self, m: Molecule) -> dict:
         """Every layer's per-head dense attention maps; the one dense attention path."""
-        _check_dense_export("dump-attention", m.n_atoms)
+        check_dense_export("dump-attention", m.n_atoms)
         fwd = self.forward(m, collect_attention=True)
         return {
             "n_atoms": m.n_atoms,
@@ -731,7 +711,7 @@ def assemble_bundle(model: Model, feats: Featurization) -> dict[str, np.ndarray]
     is an edge. Elements outside the model's embedding vocabulary are allowed.
     """
     n, mb = feats.n_atoms, feats.n_bonds
-    _check_dense_export("featurize", n)
+    check_dense_export("featurize", n)
     every_pair = replace(
         feats, masks=all_true_masks(n, mb), incidence=np.ones((n, mb), dtype=bool)
     )

@@ -14,14 +14,7 @@ import numpy as np
 
 from .bonds import BondSet, predict_bonds
 from .encodings import cosine_matrix, spd_matrix
-from .graphs import (
-    AtomGraph,
-    BondGraph,
-    BondNode,
-    build_atom_graph,
-    build_bond_graph,
-    incidence_matrix,
-)
+from .graphs import BondGraph, atom_adjacency, build_bond_graph
 from .masks import DEFAULT_CUTOFF, MaskMatrices, all_true_masks, build_masks
 from .molecule import Molecule, pairwise_distances
 
@@ -30,10 +23,7 @@ from .molecule import Molecule, pairwise_distances
 class Featurization:
     molecule: Molecule
     bonds: BondSet
-    atom_graph: AtomGraph
     bond_graph: BondGraph
-    bond_nodes: tuple[BondNode, ...]
-    midpoints: np.ndarray  # (M, 3)
     dist_atom: np.ndarray  # (N, N)
     dist_bond: np.ndarray  # (M, M) midpoint-midpoint
     dist_cross: np.ndarray  # (N, M) atom-midpoint
@@ -41,7 +31,7 @@ class Featurization:
     spd_atom: np.ndarray  # (N, N) int
     spd_bond: np.ndarray  # (M, M) int
     masks: MaskMatrices
-    incidence: np.ndarray  # (N, M) bool
+    incidence: np.ndarray  # (N, M) bool, the bond graph's
 
     @property
     def n_atoms(self) -> int:
@@ -58,35 +48,29 @@ def featurize_molecule(
     alpha: float = 1.15,
     cutoff: float = DEFAULT_CUTOFF,
     use_masks: bool = True,
-    bonds: BondSet | None = None,
 ) -> Featurization:
     dist_atom = pairwise_distances(m.positions, m.positions)
-    if bonds is None:
-        bonds = predict_bonds(m, alpha, dist=dist_atom)
-    g = build_atom_graph(m, bonds)
-    bg = build_bond_graph(m, g, bonds)
-    nodes = bg.bond_nodes
-    midpoints = (
-        np.stack([n.midpoint for n in nodes]) if nodes else np.zeros((0, 3), dtype=np.float64)
-    )
-
+    bonds = predict_bonds(m, alpha, dist=dist_atom)
+    bg = build_bond_graph(m, bonds)
+    # the distance temporaries set the peak memory, so they come before the hop counts
+    dist_bond = pairwise_distances(bg.midpoints, bg.midpoints)
+    dist_cross = pairwise_distances(m.positions, bg.midpoints)
+    spd_bond = spd_matrix(bg.adjacency)
     masks = (
-        build_masks(dist_atom, bg, cutoff) if use_masks else all_true_masks(m.n_atoms, len(bonds))
+        build_masks(dist_atom, spd_bond, cutoff)
+        if use_masks
+        else all_true_masks(m.n_atoms, len(bonds))
     )
-
     return Featurization(
         molecule=m,
         bonds=bonds,
-        atom_graph=g,
         bond_graph=bg,
-        bond_nodes=nodes,
-        midpoints=midpoints,
         dist_atom=dist_atom,
-        dist_bond=pairwise_distances(midpoints, midpoints),
-        dist_cross=pairwise_distances(m.positions, midpoints),
-        cos_bond=cosine_matrix(bg, nodes),
-        spd_atom=spd_matrix(g),
-        spd_bond=spd_matrix(bg),
+        dist_bond=dist_bond,
+        dist_cross=dist_cross,
+        cos_bond=cosine_matrix(bg),
+        spd_atom=spd_matrix(atom_adjacency(m.n_atoms, bonds)),
+        spd_bond=spd_bond,
         masks=masks,
-        incidence=incidence_matrix(m.n_atoms, bonds),
+        incidence=bg.incidence,
     )

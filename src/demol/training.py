@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -269,18 +269,6 @@ def load_checkpoint(path: str) -> tuple[Model, OptimizerState, RandomStream, int
 # Flat key-value config files
 # ---------------------------------------------------------------------------
 
-_TRAIN_KEYS = {
-    "seed": int, "steps": int, "lr": float, "eps": float,
-    "grad_clip": float, "weight_decay": float, "log_every": int,
-}
-_MODEL_KEYS = {
-    "d_a": int, "d_b": int, "d_h": int, "n_heads": int, "n_layers": int,
-    "ffn_multiplier": int, "mask_ratio": float, "coord_noise_sigma": float,
-    "kernels": int, "width_dist": float, "width_tors": float, "max_spd": int,
-    "length_bucket_width": float, "n_length_buckets": int,
-    "bond_alpha": float, "mask_cutoff": float,
-}
-_MODEL_FLAGS = {"use_structure_masks", "use_torsion", "pre_norm", "parallel_cross"}
 _BOOLEANS = {
     "1": True, "true": True, "yes": True, "on": True,
     "0": False, "false": False, "no": False, "off": False,
@@ -288,9 +276,18 @@ _BOOLEANS = {
 
 
 def parse_config_file(text: str) -> tuple[dict, dict]:
-    """Flat ``key = value`` lines -> (model overrides, train overrides)."""
+    """Flat ``key = value`` lines -> (model overrides, train overrides).
+
+    Each key is a ``ModelConfig`` or ``TrainConfig`` field, parsed as the type of
+    the field's default; a tuple is comma-separated values of its items' type.
+    """
     model_kv: dict = {}
     train_kv: dict = {}
+    schema = {
+        f.name: (f.default, kv)
+        for cls, kv in ((ModelConfig, model_kv), (TrainConfig, train_kv))
+        for f in fields(cls)
+    }
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -304,23 +301,15 @@ def parse_config_file(text: str) -> tuple[dict, dict]:
             key, value = parts
         key = key.strip()
         value = value.strip()
-        if key in _TRAIN_KEYS:
-            train_kv[key] = _TRAIN_KEYS[key](value)
-        elif key == "betas":
-            b1, b2 = (float(v) for v in value.split(","))
-            train_kv["betas"] = (b1, b2)
-        elif key in _MODEL_KEYS:
-            model_kv[key] = _MODEL_KEYS[key](value)
-        elif key in _MODEL_FLAGS:
+        if key not in schema:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        default, kv = schema[key]
+        if isinstance(default, bool):
             if value.lower() not in _BOOLEANS:
                 raise ValueError(f"config line {lineno}: {key} must be a boolean, got {value!r}")
-            model_kv[key] = _BOOLEANS[value.lower()]
-        elif key == "loss_weights":
-            model_kv["loss_weights"] = tuple(float(v) for v in value.split(","))
-        elif key == "elements":
-            model_kv["elements"] = tuple(v.strip() for v in value.split(","))
-        elif key == "cross_order":
-            model_kv["cross_order"] = value
+            kv[key] = _BOOLEANS[value.lower()]
+        elif isinstance(default, tuple):
+            kv[key] = tuple(type(default[0])(v.strip()) for v in value.split(","))
         else:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            kv[key] = type(default)(value)
     return model_kv, train_kv

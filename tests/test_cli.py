@@ -410,6 +410,22 @@ class TestSeed:
         assert train_out("seed = 2\n") != train_out("seed = 6\n")
         assert train_out("seed = 2\n", "--seed", "6") == train_out("seed = 6\n")
 
+    def test_config_file_seed_refused_on_resume(self, capsys, dataset_dir, tmp_path, monkeypatch):
+        # a resumed run draws from its checkpoint's stream, so a seed key would be ignored
+        import demol.cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran with a config seed and --resume")
+
+        monkeypatch.setattr(demol.cli, "train", no_training)
+        config = tmp_path / "r.cfg"
+        config.write_text(MICRO_CONFIG + "steps = 2\nseed = 7\n")
+        argv = ["train", "--dataset", dataset_dir, "--config", str(config),
+                "--resume", str(tmp_path / "any.ckpt")]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
 
 class TestAtomicOutput:
     @staticmethod
@@ -605,6 +621,22 @@ class TestFeaturizeAtomLimit:
         code, out, err = run(capsys, ["featurize", "--dataset", dataset_dir, "--out", str(out_dir)])
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and str(MAX_DENSE_EXPORT_ATOMS) in err
+
+    def test_dataset_writes_nothing_before_the_limit(self, capsys, tmp_path, no_dense_export):
+        # the long molecule sorts third: the two before it must not be written either
+        from demol.model import MAX_DENSE_EXPORT_ATOMS
+
+        data = tmp_path / "data"
+        data.mkdir()
+        for name, text in (("a_water", WATER_XYZ), ("b_chain", long_chain_xyz(3)),
+                           ("c_long", long_chain_xyz(MAX_DENSE_EXPORT_ATOMS + 1)),
+                           ("d_water", WATER_XYZ)):
+            (data / f"{name}.xyz").write_text(text)
+        out_dir = tmp_path / "features"
+        code, out, err = run(capsys, ["featurize", "--dataset", str(data), "--out", str(out_dir)])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and str(MAX_DENSE_EXPORT_ATOMS) in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 # ---------------------------------------------------------------------------

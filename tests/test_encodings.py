@@ -16,7 +16,7 @@ from demol.encodings import (
     spd_slot_ids,
 )
 from demol.fixtures import benzene_skeleton, chain, star_ch3, water
-from demol.graphs import build_atom_graph, build_bond_graph
+from demol.graphs import atom_adjacency, build_bond_graph
 from demol.model import Model, assemble_bundle
 from demol.molecule import molecule_from_symbols
 from demol.pipeline import featurize_molecule
@@ -147,15 +147,13 @@ class TestDistanceEncoding:
 class TestSpd:
     def test_path_graph(self):
         mol = chain(4)
-        g = build_atom_graph(mol, predict_bonds(mol))
-        spd = spd_matrix(g)
+        spd = spd_matrix(atom_adjacency(mol.n_atoms, predict_bonds(mol)))
         assert spd[0, 3] == 3
         assert (spd.diagonal() == 0).all()
 
     def test_disconnected_pair(self):
         mol = molecule_from_symbols(["H", "H"], [[0, 0, 0], [4.0, 0, 0]])
-        g = build_atom_graph(mol, predict_bonds(mol))
-        spd = spd_matrix(g)
+        spd = spd_matrix(atom_adjacency(mol.n_atoms, predict_bonds(mol)))
         assert spd[0, 1] == UNREACHABLE and spd[1, 0] == UNREACHABLE
 
     def test_matches_floyd_warshall(self):
@@ -200,18 +198,14 @@ class TestSpd:
 
 
 class TestTorsion:
-    def build(self, mol):
-        bonds = predict_bonds(mol)
-        g = build_atom_graph(mol, bonds)
-        bg = build_bond_graph(mol, g, bonds)
-        return bg, bg.bond_nodes
+    def cosines(self, mol):
+        return cosine_matrix(build_bond_graph(mol, predict_bonds(mol)))
 
     def test_orthogonal_bonds(self):
         mol = molecule_from_symbols(
             ["O", "H", "H"], [[0, 0, 0], [0.9, 0, 0], [0, 0.9, 0]]
         )
-        bg, nodes = self.build(mol)
-        cos = cosine_matrix(bg, nodes)
+        cos = self.cosines(mol)
         assert cos[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_collinear_bonds(self):
@@ -219,32 +213,27 @@ class TestTorsion:
         mol = molecule_from_symbols(
             ["C", "C", "C"], [[-1.4, 0, 0], [0, 0, 0], [1.4, 0, 0]]
         )
-        bg, nodes = self.build(mol)
-        cos = cosine_matrix(bg, nodes)
+        cos = self.cosines(mol)
         assert cos[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_water_bond_angle(self):
-        bg, nodes = self.build(water())
-        cos = cosine_matrix(bg, nodes)
+        cos = self.cosines(water())
         assert cos[0, 1] == pytest.approx(math.cos(math.radians(104.52)), abs=1e-3)
 
     def test_diagonal_is_one(self):
-        bg, nodes = self.build(star_ch3())
-        assert (cosine_matrix(bg, nodes).diagonal() == 1.0).all()
+        assert (self.cosines(star_ch3()).diagonal() == 1.0).all()
 
     def test_nonadjacent_pairs_use_unsigned_cosine(self):
         # bonds 0-1 and 2-3 of a chain share no atom; relabeling may flip the
         # canonical direction, so only the unsigned cosine is well defined
         mol = chain(4)
-        bg, nodes = self.build(mol)
-        cos = cosine_matrix(bg, nodes)
+        cos = self.cosines(mol)
         assert cos[0, 2] == pytest.approx(1.0, abs=1e-12)  # parallel axes
 
     def test_rigid_motion_invariance(self):
         rs = np.random.RandomState(8)
         mol = star_ch3()
-        bg, nodes = self.build(mol)
-        base = cosine_matrix(bg, nodes)
+        base = self.cosines(mol)
         for _ in range(20):
             q = np.linalg.qr(rs.normal(size=(3, 3)))[0]
             if np.linalg.det(q) < 0:
@@ -253,8 +242,7 @@ class TestTorsion:
                 [a.element.symbol for a in mol.atoms],
                 mol.positions @ q.T + rs.uniform(-5, 5, 3),
             )
-            bg2, nodes2 = self.build(moved)
-            assert np.abs(cosine_matrix(bg2, nodes2) - base).max() < 1e-9
+            assert np.abs(self.cosines(moved) - base).max() < 1e-9
 
     def test_torsion_matrix_through_kernel_pipeline(self):
         # with the bond-distance projection and the SPD table zero, phi_bond is

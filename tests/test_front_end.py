@@ -1,7 +1,8 @@
 """Property tests of the whole-array front end against the loop algorithms it
 replaced. The loops live here as oracles, and every result must agree with
-them bitwise: bond keys and lengths, line-graph adjacency and shared atoms,
-the bond mask, hop counts, the inter-bond cosines and the pair slots.
+them bitwise: bond keys and lengths, bond geometry, line-graph adjacency and
+shared atoms, the bond mask, hop counts, the inter-bond cosines and the pair
+slots.
 """
 
 from collections import deque
@@ -23,7 +24,7 @@ from demol.encodings import (
     spd_matrix,
 )
 from demol.errors import GeometryError
-from demol.graphs import build_atom_graph, build_line_graph
+from demol.graphs import atom_adjacency, build_bond_graph
 from demol.masks import bond_mask
 from demol.model import Model
 from demol.molecule import distance, molecule_from_symbols
@@ -84,17 +85,32 @@ def loop_spd(adjacency):
     return out
 
 
-def loop_cosines(bg, nodes):
-    m = bg.n_bonds
+def loop_geometry(mol, keys):
+    """Per-bond midpoint, unit direction and measured length, one bond at a time."""
+    midpoints, directions, lengths = [], [], []
+    for i, j in keys:
+        ri, rj = mol.atoms[i].position, mol.atoms[j].position
+        length = float(np.linalg.norm(rj - ri))
+        midpoints.append((ri + rj) / 2.0)
+        directions.append((rj - ri) / length)
+        lengths.append(length)
+    return (
+        np.array(midpoints).reshape(-1, 3),
+        np.array(directions).reshape(-1, 3),
+        np.array(lengths, dtype=np.float64),
+    )
+
+
+def loop_cosines(keys, directions):
+    m = len(keys)
     out = np.zeros((m, m), dtype=np.float64)
     if m == 0:
         return out
-    dirs = np.stack([node.direction for node in nodes])
-    raw = dirs @ dirs.T
+    raw = directions @ directions.T
     out[:] = np.abs(raw)
-    for (p, q), shared in bg.shared_atom.items():
-        sp = 1.0 if nodes[p].atom_i == shared else -1.0
-        sq = 1.0 if nodes[q].atom_i == shared else -1.0
+    for (p, q), shared in loop_line_graph(keys)[1].items():
+        sp = 1.0 if keys[p][0] == shared else -1.0
+        sq = 1.0 if keys[q][0] == shared else -1.0
         out[p, q] = out[q, p] = sp * sq * raw[p, q]
     np.fill_diagonal(out, 1.0)
     return out
@@ -167,14 +183,14 @@ def test_spd_matches_per_source_bfs(adjacency):
 @settings(max_examples=300, deadline=None)
 def test_line_graph_mask_and_hops_match_loops(case):
     mol, bonds = case
-    g = build_atom_graph(mol, bonds)
-    lg = build_line_graph(g, bonds)
+    atoms = atom_adjacency(mol.n_atoms, bonds)
+    lg = build_bond_graph(mol, bonds)
     adjacency, shared = loop_line_graph(bonds.keys())
     assert_same(lg.adjacency, adjacency)
-    assert list(lg.shared_atom.items()) == list(shared.items())
-    assert_same(bond_mask(lg), loop_bond_mask(adjacency))
-    assert_same(spd_matrix(g), loop_spd(g.adjacency))
-    assert_same(spd_matrix(lg), loop_spd(adjacency))
+    assert [((p, q), a) for p, q, a in lg.shared.tolist()] == list(shared.items())
+    assert_same(bond_mask(spd_matrix(lg.adjacency)), loop_bond_mask(adjacency))
+    assert_same(spd_matrix(atoms), loop_spd(atoms))
+    assert_same(spd_matrix(lg.adjacency), loop_spd(adjacency))
 
 
 @given(
@@ -207,11 +223,11 @@ def test_bonds_at_the_threshold_match_pair_loop(seed, offsets, alpha):
 @settings(max_examples=100, deadline=None)
 def test_cosines_and_pair_slots_match_loops(mol):
     feats = featurize_molecule(mol, alpha=1.6)
-    nodes = feats.bond_nodes
-    assert_same(cosine_matrix(feats.bond_graph, nodes), loop_cosines(feats.bond_graph, nodes))
+    bg = feats.bond_graph
+    assert_same(cosine_matrix(bg), loop_cosines(feats.bonds.keys(), bg.directions))
 
     symbols = mol.symbols()
-    types = bond_types(mol, nodes)
+    types = bond_types(mol, bg)
     for rows, cols, pair_key, pair_index in (
         (symbols, symbols, atom_pair_key, MODEL.pair_index_atom),
         (types, types, bond_pair_key, MODEL.pair_index_bond),
@@ -221,6 +237,18 @@ def test_cosines_and_pair_slots_match_loops(mol):
             pair_slot_matrix(rows, cols, pair_key, pair_index),
             loop_slots(rows, cols, pair_key, pair_index),
         )
+
+
+@given(molecules())
+@settings(max_examples=100, deadline=None)
+def test_bond_geometry_matches_per_bond_loop(mol):
+    bonds = predict_bonds(mol, 1.6)
+    bg = build_bond_graph(mol, bonds)
+    midpoints, directions, lengths = loop_geometry(mol, bonds.keys())
+    assert_same(bg.lengths, lengths)  # copied from the BondSet, equal to a new measurement
+    assert_same(bg.midpoints, midpoints)
+    assert_same(bg.directions, directions)
+    assert_same(bg.ends, np.array(bonds.keys(), dtype=np.intp).reshape(-1, 2))
 
 
 def test_featurization_computes_three_distance_matrices(monkeypatch):

@@ -41,12 +41,12 @@ class TestAtomMask:
 class TestBondMask:
     def test_adjacent_bonds_allowed(self):
         feats = featurize_molecule(chain(3))
-        assert bond_mask(feats.bond_graph)[0, 1]
+        assert bond_mask(feats.spd_bond)[0, 1]
 
     def test_distance_three_masked(self):
         feats = featurize_molecule(chain(5))  # bonds form a path of length 4
-        mask = bond_mask(feats.bond_graph)
-        spd = spd_matrix(feats.bond_graph)
+        mask = bond_mask(feats.spd_bond)
+        spd = spd_matrix(feats.bond_graph.adjacency)
         assert spd[0, 3] == 3
         assert not mask[0, 3]
         assert mask[0, 2]  # distance exactly 2 is the conjugacy surrogate
@@ -55,8 +55,8 @@ class TestBondMask:
         # BFS oracle on the 6-cycle line graph: opposite bonds sit at distance
         # 3, so exactly the three opposite pairs (both directions) are masked
         feats = featurize_molecule(benzene_skeleton())
-        mask = bond_mask(feats.bond_graph)
-        spd = spd_matrix(feats.bond_graph)
+        mask = feats.masks.bond
+        spd = spd_matrix(feats.bond_graph.adjacency)
         assert (mask == (spd >= 0) & (spd <= 2)).all()
         assert int(mask.sum()) == 30
 
@@ -72,19 +72,19 @@ class TestBondMask:
                     break
             mol = molecule_from_symbols(["C"] * n, pos)
             feats = featurize_molecule(mol)
-            mask = bond_mask(feats.bond_graph)
-            spd = spd_matrix(feats.bond_graph)
+            mask = feats.masks.bond
+            spd = spd_matrix(feats.bond_graph.adjacency)
             assert (mask == (spd >= 0) & (spd <= 2)).all()
 
     def test_empty_graph(self):
         feats = featurize_molecule(molecule_from_symbols(["He"], [[0, 0, 0]]))
-        assert bond_mask(feats.bond_graph).shape == (0, 0)
+        assert bond_mask(feats.spd_bond).shape == (0, 0)
 
 
 class TestMaskMatrices:
     def test_symmetric_with_true_diagonal(self):
         feats = featurize_molecule(chain(6))
-        masks = build_masks(feats.molecule, feats.bond_graph)
+        masks = build_masks(feats.molecule, feats.spd_bond)
         for m in (masks.atom, masks.bond):
             assert (m == m.T).all()
             assert m.diagonal().all()
