@@ -69,7 +69,10 @@ def build_bond_graph(m: Molecule, b: BondSet) -> BondGraph:
     common = np.where(has_i[p, q], ends[p, 0], ends[p, 1])
     midpoints, directions = (ri + rj) / 2.0, (rj - ri) / lengths[:, None]
     shared = np.stack([p, q, common], axis=1)
-    return BondGraph(ends, lengths, midpoints, directions, incidence, adjacency, shared)
+    arrays = (ends, lengths, midpoints, directions, incidence, adjacency, shared)
+    for array in arrays:  # shared with Featurization, so read-only
+        array.flags.writeable = False
+    return BondGraph(*arrays)
 
 
 def spd_matrix(adjacency: np.ndarray) -> np.ndarray:

@@ -167,3 +167,12 @@ def test_build_bond_graph_attaches_geometry():
     assert bg.midpoints.shape == bg.directions.shape == (2, 3)
     assert bg.incidence.shape == (3, 2)
     assert bg.shared.tolist() == [[0, 1, 0]]
+
+
+def test_bond_graph_arrays_are_read_only():
+    # Featurization.incidence is the bond graph's own array, so a write to
+    # one would change the other
+    bg = build_bond_graph(water(), predict_bonds(water()))
+    for array in vars(bg).values():
+        with pytest.raises(ValueError):
+            array[0] = 0
